@@ -59,6 +59,15 @@ echo "==> crash-recovery smoke (kill mid-run, resume, diff vs uninterrupted)"
 cargo run -q --release -p fj-bench --bin fleet_recover -- \
     --dir target/telemetry/recovery
 
+echo "==> repository benchmark output checks (pinned digests, invariants, bit-identical replay)"
+# Every perfbench run checks the engine's outputs and exits non-zero on
+# a pinned-digest mismatch or a failed invariant; the traced runs also
+# replay the engine layer by layer and fail unless the replay equals the
+# engine's trace bit for bit.
+cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --workload all --seconds 1
+cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --workload census --trace 1
+cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --workload switch_ops --trace 1
+
 if [[ "${CI_SOAK:-0}" == "1" ]]; then
     echo "==> chaos soak (full)"
     cargo test -p fj-faults --test chaos_soak -q -- --ignored

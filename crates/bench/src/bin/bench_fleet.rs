@@ -1,8 +1,10 @@
 //! Fleet collection throughput across shard counts.
 //!
-//! Times [`fj_isp::trace::collect_sharded`] over a routers × horizon
-//! sweep at 1/2/4/8 shards, reporting router-rounds per second and the
-//! speedup over the single-shard run. Every parallel trace is compared
+//! Times [`fj_isp::trace::collect_streaming`] — the engine's one entry
+//! point, which runs every chunk through one `fj_par::WorkerPool` — over
+//! a routers × horizon sweep at 1/2/4/8 shards, reporting router-rounds
+//! per second and the speedup over the single-shard run (whose pool has
+//! no threads and simulates inline). Every parallel trace is compared
 //! against the sequential one — the determinism contract means the
 //! numbers may *only* differ in wall-clock time, and this bench asserts
 //! it on every cell. The sweep itself lives in
@@ -30,7 +32,7 @@ use std::process::ExitCode;
 use fj_bench::fleetbench::{run_sweep, version_string};
 use fj_bench::EXPERIMENT_SEED;
 use fj_faults::FaultPlan;
-use fj_isp::trace::collect_sharded;
+use fj_isp::trace::{collect_streaming, StreamConfig};
 use fj_isp::{build_fleet, FleetConfig};
 use fj_telemetry::Telemetry;
 use fj_units::{SimDuration, SimInstant};
@@ -112,7 +114,7 @@ fn dispatch_wait_violations(
 fn write_trace(path: &Path) -> Result<(), String> {
     let mut fleet = build_fleet(&FleetConfig::small(EXPERIMENT_SEED));
     let telemetry = Telemetry::with_capacity(1 << 10);
-    collect_sharded(
+    collect_streaming(
         &mut fleet,
         SimInstant::EPOCH,
         SimInstant::from_days(2),
@@ -121,7 +123,10 @@ fn write_trace(path: &Path) -> Result<(), String> {
         &[0, 3],
         &FaultPlan::clean(),
         &telemetry,
-        4,
+        &StreamConfig {
+            shards: 4,
+            ..Default::default()
+        },
     )
     .map_err(|e| format!("traced collection failed: {e}"))?;
     println!("\n--- self-time profile (4-shard traced smoke run) ---");

@@ -9,7 +9,8 @@
 //! megawatt-hours at this horizon.
 
 use fj_bench::{banner, standard_fleet, table::*};
-use fj_isp::trace;
+use fj_faults::FaultPlan;
+use fj_isp::trace::{self, StreamConfig};
 use fj_units::{SimDuration, SimInstant};
 
 fn main() {
@@ -27,7 +28,19 @@ fn main() {
         &[("days", "305".to_owned())],
     );
 
-    let traces = trace::collect(&mut fleet, start, end, step, vec![], &[]).expect("collection");
+    let traces = trace::collect_streaming(
+        &mut fleet,
+        start,
+        end,
+        step,
+        vec![],
+        &[],
+        &FaultPlan::clean(),
+        fj_telemetry::global(),
+        &StreamConfig::default(),
+    )
+    .expect("collection")
+    .trace;
 
     let t = TablePrinter::new(&[10, 12, 12, 12]);
     t.header(&["month", "mean kW", "MWh", "traffic Tb"]);

@@ -6,7 +6,9 @@
 //! power jumps coincide with hardware (de)commissioning.
 
 use fj_bench::{banner, paper, standard_fleet, standard_window, table::*};
-use fj_isp::{trace, EventKind, ScheduledEvent};
+use fj_faults::FaultPlan;
+use fj_isp::trace::{self, StreamConfig};
+use fj_isp::{EventKind, ScheduledEvent};
 use fj_units::{correlation, SimInstant, Watts};
 
 fn main() {
@@ -32,8 +34,19 @@ fn main() {
         },
     ];
 
-    let traces =
-        trace::collect(&mut fleet, start, end, step, events, &[]).expect("trace collection");
+    let traces = trace::collect_streaming(
+        &mut fleet,
+        start,
+        end,
+        step,
+        events,
+        &[],
+        &FaultPlan::clean(),
+        fj_telemetry::global(),
+        &StreamConfig::default(),
+    )
+    .expect("trace collection")
+    .trace;
 
     // Weekly summary rows.
     let t = TablePrinter::new(&[8, 12, 12, 12, 12]);

@@ -13,7 +13,9 @@
 
 use fj_bench::{banner, paper, standard_fleet, standard_window, table::*};
 use fj_core::{InterfaceClass, PortType, Speed, TransceiverType};
-use fj_isp::{trace, EventKind, ScheduledEvent};
+use fj_faults::FaultPlan;
+use fj_isp::trace::{self, StreamConfig};
+use fj_isp::{EventKind, ScheduledEvent};
 use fj_units::{correlation, SimDuration, SimInstant, TimeSeries};
 
 fn main() {
@@ -74,8 +76,19 @@ fn main() {
         },
     ];
 
-    let traces = trace::collect(&mut fleet, start, end, step, events, &instrumented)
-        .expect("trace collection");
+    let traces = trace::collect_streaming(
+        &mut fleet,
+        start,
+        end,
+        step,
+        events,
+        &instrumented,
+        &FaultPlan::clean(),
+        fj_telemetry::global(),
+        &StreamConfig::default(),
+    )
+    .expect("trace collection")
+    .trace;
 
     // --- Per-router comparisons (30-minute averages, like the figure) ---
     let window = SimDuration::from_mins(30);

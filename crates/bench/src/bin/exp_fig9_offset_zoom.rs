@@ -7,7 +7,8 @@
 //! size of the traffic-induced swings the model is supposed to follow.
 
 use fj_bench::{banner, standard_fleet, table::*};
-use fj_isp::trace;
+use fj_faults::FaultPlan;
+use fj_isp::trace::{self, StreamConfig};
 use fj_units::{SimDuration, SimInstant};
 
 fn main() {
@@ -25,8 +26,19 @@ fn main() {
         .find_model("N540X-8Z16G-SYS-A")
         .expect("N540X in fleet");
     let instrumented = [r8201, rncs, rn540];
-    let traces = trace::collect(&mut fleet, start, end, step, vec![], &instrumented)
-        .expect("trace collection");
+    let traces = trace::collect_streaming(
+        &mut fleet,
+        start,
+        end,
+        step,
+        vec![],
+        &instrumented,
+        &FaultPlan::clean(),
+        fj_telemetry::global(),
+        &StreamConfig::default(),
+    )
+    .expect("trace collection")
+    .trace;
 
     let window = SimDuration::from_mins(30);
     let t = TablePrinter::new(&[20, 11, 13, 13, 9]);

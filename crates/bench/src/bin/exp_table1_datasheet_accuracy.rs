@@ -8,15 +8,27 @@
 
 use fj_bench::{banner, paper, short_window, standard_fleet, table::*};
 use fj_datasheets::analysis::datasheet_accuracy_table;
-use fj_isp::trace;
+use fj_faults::FaultPlan;
+use fj_isp::trace::{self, StreamConfig};
 use fj_units::median;
 
 fn main() {
     let _run = banner("Table 1", "datasheet accuracy against deployed medians");
     let mut fleet = standard_fleet();
     let (start, end, step) = short_window();
-    let traces =
-        trace::collect(&mut fleet, start, end, step, vec![], &[]).expect("trace collection");
+    let traces = trace::collect_streaming(
+        &mut fleet,
+        start,
+        end,
+        step,
+        vec![],
+        &[],
+        &FaultPlan::clean(),
+        fj_telemetry::global(),
+        &StreamConfig::default(),
+    )
+    .expect("trace collection")
+    .trace;
 
     // Median power per hardware model: median over time of the summed
     // per-router medians' mean — we follow the paper and take each

@@ -127,14 +127,21 @@ impl Fleet {
     /// calling thread). Results are bit-identical whatever `shards` is.
     pub fn advance_with_shards(&mut self, dt: SimDuration, shards: usize) -> Result<(), SimError> {
         let now = self.now();
-        let Fleet {
-            routers, packets, ..
-        } = self;
-        let packets: &PacketProfile = packets;
-        let results =
-            fj_par::shard_map_mut(routers, shards, |_, router| router.step(now, packets, dt));
+        let packets = self.packets.clone();
+        let done = fj_par::WorkerPool::for_shards(shards)
+            .submit(
+                std::mem::take(&mut self.routers),
+                shards,
+                move |_, router: &mut FleetRouter| router.step(now, &packets, dt),
+            )
+            .wait();
+        // The pool hands every router back, also when a step panicked.
+        self.routers = done.items;
         // First error in fleet order, as the sequential loop reported.
-        results.into_iter().collect()
+        done.result
+            .unwrap_or_else(|p| p.resume())
+            .into_iter()
+            .collect()
     }
 
     /// Total wall power right now — what the sum of external meters on

@@ -56,21 +56,26 @@ mod tests {
     use super::*;
     use crate::build::build_fleet;
     use crate::config::FleetConfig;
-    use crate::trace::collect;
+    use crate::trace::{collect_streaming, StreamConfig};
+    use fj_faults::FaultPlan;
     use fj_units::{SimDuration, SimInstant};
 
     #[test]
     fn publish_covers_every_router() {
         let mut fleet = build_fleet(&FleetConfig::small(31));
-        let traces = collect(
+        let traces = collect_streaming(
             &mut fleet,
             SimInstant::EPOCH,
             SimInstant::from_days(1),
             SimDuration::from_mins(30),
             vec![],
             &[0],
+            &FaultPlan::clean(),
+            fj_telemetry::global(),
+            &StreamConfig::default(),
         )
-        .expect("collection");
+        .expect("collection")
+        .trace;
 
         let mut zoo = Zoo::new();
         let added = publish_fleet(&mut zoo, &fleet, &traces, &Contributor::new("ci"));
@@ -90,15 +95,19 @@ mod tests {
     #[test]
     fn published_zoo_round_trips() {
         let mut fleet = build_fleet(&FleetConfig::small(32));
-        let traces = collect(
+        let traces = collect_streaming(
             &mut fleet,
             SimInstant::EPOCH,
             SimInstant::from_secs(3 * 3600),
             SimDuration::from_mins(30),
             vec![],
             &[],
+            &FaultPlan::clean(),
+            fj_telemetry::global(),
+            &StreamConfig::default(),
         )
-        .expect("collection");
+        .expect("collection")
+        .trace;
         let mut zoo = Zoo::new();
         publish_fleet(&mut zoo, &fleet, &traces, &Contributor::new("ci"));
         let back = Zoo::from_json(&zoo.to_json().expect("serialises")).expect("parses");

@@ -9,14 +9,15 @@
 //!
 //! # Streaming sharded execution
 //!
-//! Collection is a chunked two-phase engine built on [`fj_par`]. The
-//! horizon is cut into **epoch chunks** of [`StreamConfig::chunk_rounds`]
-//! poll rounds; for each chunk:
+//! [`collect_streaming`] is the engine's one entry point: a chunked
+//! two-phase engine built on [`fj_par::WorkerPool`]. The horizon is cut
+//! into **epoch chunks** of [`StreamConfig::chunk_rounds`] poll rounds;
+//! for each chunk:
 //!
 //! 1. **Simulate** — routers are split into contiguous index shards and
-//!    dispatched to a persistent [`fj_par::WorkerPool`] (spawned once
-//!    per run when `shards > 1`; the single-shard path stays inline and
-//!    thread-free); each shard runs its routers through the chunk's
+//!    dispatched to the run's worker pool (spawned once per run; at one
+//!    shard it has no threads and simulates the chunk inline); each
+//!    shard runs its routers through the chunk's
 //!    window (events, polls, fault draws, health ladder, prediction)
 //!    with no cross-shard synchronisation, producing columnar
 //!    [`RoundRecord`] batches. This is sound because every input is
@@ -31,12 +32,12 @@
 //!    transitions, counters, gauges, adopted spans) is emitted in exactly
 //!    the sequence the old sequential loop produced.
 //!
-//! On the pool path the two phases **pipeline**: the next chunk is
-//! dispatched before the current chunk's merge begins, so the serial
-//! merge overlaps the workers' simulation. Ownership makes this safe —
-//! workers own the router cells (ping-ponged by value through the
-//! pool), the main thread owns all traces and telemetry emission — so
-//! the pipelining is invisible to every output.
+//! When the pool has threads the two phases **pipeline**: the next
+//! chunk is dispatched before the current chunk's merge begins, so the
+//! serial merge overlaps the workers' simulation. Ownership makes this
+//! safe — workers own the router cells (ping-ponged by value through
+//! the pool), the main thread owns all traces and telemetry emission —
+//! so the pipelining is invisible to every output.
 //!
 //! Workers hold only one chunk of records at a time, so peak record
 //! memory is `O(routers × chunk_rounds)` instead of
@@ -49,9 +50,8 @@
 //! health and predictor counters, event cursors, traces, totals, and the
 //! whole telemetry bundle — to a CRC-sealed file
 //! ([`crate::checkpoint`]). A supervisor catches shard panics (reported
-//! deterministically by [`fj_par::Pending::wait`] on the pool path and
-//! [`fj_par::try_shard_map_mut`] inline — lowest panicking shard wins
-//! attribution on both), restores the chunk-boundary state,
+//! deterministically by [`fj_par::Pending::wait`] — the lowest panicking
+//! shard wins attribution), restores the chunk-boundary state,
 //! and retries with [`fj_faults::Backoff`] up to
 //! [`StreamConfig::max_restarts`] times; a killed process resumes from
 //! the newest verifiable checkpoint ([`StreamConfig::resume`]), falling
@@ -147,89 +147,6 @@ impl FleetTrace {
     pub fn router(&self, name: &str) -> Option<&RouterTrace> {
         self.routers.iter().find(|r| r.name == name)
     }
-}
-
-/// Runs the fleet from `start` (inclusive) to `end` (exclusive) at the
-/// poll period `step`, applying `events` at their scheduled times and
-/// recording one sample per poll.
-///
-/// `instrumented` lists fleet indices carrying Autopower units (the paper
-/// deployed three); their wall power is recorded externally.
-pub fn collect(
-    fleet: &mut Fleet,
-    start: SimInstant,
-    end: SimInstant,
-    step: SimDuration,
-    events: Vec<ScheduledEvent>,
-    instrumented: &[usize],
-) -> Result<FleetTrace, SimError> {
-    collect_with_faults(
-        fleet,
-        start,
-        end,
-        step,
-        events,
-        instrumented,
-        &FaultPlan::clean(),
-    )
-}
-
-/// [`collect`] under a fault plan: the plan's drop channel, drawn per
-/// router per tick (streams `"snmp/{router}"` and `"wall/{router}"`),
-/// decides which polls fail. Failed polls become gap markers on the
-/// per-router series, and any tick with at least one failed SNMP poll
-/// turns the fleet-total sample into a gap — the total is unknowable
-/// when a contributor is missing.
-pub fn collect_with_faults(
-    fleet: &mut Fleet,
-    start: SimInstant,
-    end: SimInstant,
-    step: SimDuration,
-    events: Vec<ScheduledEvent>,
-    instrumented: &[usize],
-    poll_faults: &FaultPlan,
-) -> Result<FleetTrace, SimError> {
-    collect_with_telemetry(
-        fleet,
-        start,
-        end,
-        step,
-        events,
-        instrumented,
-        poll_faults,
-        fj_telemetry::global(),
-    )
-}
-
-/// [`collect_with_faults`] reporting into an explicit [`Telemetry`]
-/// bundle: per-round span timing, `gaps_total` counters by source, a
-/// per-router health ladder (gauge `fleet_router_health`), and a Warn
-/// cause event — stamped with the round's sim time — for every gap
-/// marker pushed onto a series. Runs shard-parallel with the default
-/// shard count ([`fj_par::shard_count`], overridable via `FJ_SHARDS`);
-/// see [`collect_sharded`] for the determinism contract.
-#[allow(clippy::too_many_arguments)]
-pub fn collect_with_telemetry(
-    fleet: &mut Fleet,
-    start: SimInstant,
-    end: SimInstant,
-    step: SimDuration,
-    events: Vec<ScheduledEvent>,
-    instrumented: &[usize],
-    poll_faults: &FaultPlan,
-    telemetry: &Arc<Telemetry>,
-) -> Result<FleetTrace, SimError> {
-    collect_sharded(
-        fleet,
-        start,
-        end,
-        step,
-        events,
-        instrumented,
-        poll_faults,
-        telemetry,
-        fj_par::shard_count(),
-    )
 }
 
 /// What one router's SNMP poll yielded in one round.
@@ -352,9 +269,9 @@ impl ChaosPanic {
     }
 }
 
-/// Streaming-engine knobs. `StreamConfig::default()` reproduces the
-/// plain sharded engine exactly: default shard count, one chunk spanning
-/// the whole horizon, no checkpoints, no supervision.
+/// Streaming-engine knobs. `StreamConfig::default()` runs the plain
+/// sharded engine: default shard count, one chunk spanning the whole
+/// horizon, no checkpoints, no supervision.
 #[derive(Debug, Clone, Default)]
 pub struct StreamConfig {
     /// Worker shard count; `0` means [`fj_par::shard_count`].
@@ -688,145 +605,9 @@ fn run_chunk(
     Ok(out)
 }
 
-/// [`collect_with_telemetry`] with an explicit shard count — the
-/// deterministic sharded engine, running as one whole-horizon chunk.
-///
-/// Phase 1 splits the fleet into `shards` contiguous index ranges and
-/// simulates every router on the persistent worker pool (`shards <= 1`
-/// runs inline). Phase 2 merges on the calling thread in strict `(round,
-/// router-index)` order: fleet totals sum in fleet order (so
-/// floating-point association never depends on the shard count) and all
-/// telemetry — gap cause events, health transitions, gauges, counters —
-/// is emitted exactly as the sequential loop would have. Traces, gap
-/// markers, telemetry events, and counters are bit-identical for every
-/// `shards` value; only wall-clock time changes.
-#[allow(clippy::too_many_arguments)]
-pub fn collect_sharded(
-    fleet: &mut Fleet,
-    start: SimInstant,
-    end: SimInstant,
-    step: SimDuration,
-    events: Vec<ScheduledEvent>,
-    instrumented: &[usize],
-    poll_faults: &FaultPlan,
-    telemetry: &Arc<Telemetry>,
-    shards: usize,
-) -> Result<FleetTrace, SimError> {
-    let config = StreamConfig {
-        shards,
-        ..StreamConfig::default()
-    };
-    collect_streaming(
-        fleet,
-        start,
-        end,
-        step,
-        events,
-        instrumented,
-        poll_faults,
-        telemetry,
-        &config,
-    )
-    .map(|outcome| outcome.trace)
-}
-
-/// One in-flight chunk dispatch. The inline single-shard path completes
-/// synchronously (`Ready`); the pool path returns a [`fj_par::Pending`]
-/// handle so the caller can merge the *previous* chunk while workers
-/// simulate this one.
-enum Inflight {
-    Ready {
-        cells: Vec<RouterCell>,
-        result: Result<Vec<Result<ChunkOutput, SimError>>, fj_par::ShardPanic>,
-        stats: Option<fj_par::ShardStats>,
-    },
-    Pooled(fj_par::Pending<RouterCell, Result<ChunkOutput, SimError>>),
-}
-
-impl Inflight {
-    /// Blocks until the chunk's workers are done (a no-op for `Ready`)
-    /// and hands back the cells, the per-router results in fleet order,
-    /// and the profiler stats if the dispatch was profiled.
-    #[allow(clippy::type_complexity)]
-    fn wait(
-        self,
-    ) -> (
-        Vec<RouterCell>,
-        Result<Vec<Result<ChunkOutput, SimError>>, fj_par::ShardPanic>,
-        Option<fj_par::ShardStats>,
-    ) {
-        match self {
-            Inflight::Ready {
-                cells,
-                result,
-                stats,
-            } => (cells, result, stats),
-            Inflight::Pooled(pending) => {
-                let done = pending.wait();
-                (done.items, done.result, done.stats)
-            }
-        }
-    }
-}
-
-/// Dispatches one chunk over the cells: onto the persistent pool when
-/// one exists (taking ownership of the cells for the flight), inline on
-/// the calling thread otherwise. The mapped results are bit-identical
-/// either way — the pool preserves fj-par's index-order reduction and
-/// lowest-shard panic semantics exactly.
-fn dispatch_chunk(
-    pool: Option<&fj_par::WorkerPool>,
-    ctx: &Arc<RunContext>,
-    window: ChunkWindow,
-    shards: usize,
-    mut cells: Vec<RouterCell>,
-    profile_epoch: Option<WallEpoch>,
-) -> Inflight {
-    match pool {
-        Some(pool) => {
-            let ctx = Arc::clone(ctx);
-            let f = move |i: usize, cell: &mut RouterCell| run_chunk(&ctx, window, i, cell);
-            let pending = match profile_epoch {
-                Some(epoch) => {
-                    pool.submit_profiled(cells, shards, move || epoch.elapsed_micros(), f)
-                }
-                None => pool.submit(cells, shards, f),
-            };
-            Inflight::Pooled(pending)
-        }
-        None => {
-            let (result, stats) = match profile_epoch {
-                Some(epoch) => {
-                    let clock = move || epoch.elapsed_micros();
-                    match fj_par::try_shard_map_mut_profiled(
-                        &mut cells,
-                        shards,
-                        &clock,
-                        |i, cell| run_chunk(ctx, window, i, cell),
-                    ) {
-                        Ok((results, stats)) => (Ok(results), Some(stats)),
-                        Err(p) => (Err(p), None),
-                    }
-                }
-                None => (
-                    fj_par::try_shard_map_mut(&mut cells, shards, |i, cell| {
-                        run_chunk(ctx, window, i, cell)
-                    }),
-                    None,
-                ),
-            };
-            Inflight::Ready {
-                cells,
-                result,
-                stats,
-            }
-        }
-    }
-}
-
 /// Recovery bookkeeping counters, registered only for supervised or
-/// checkpointed runs so a plain [`collect_sharded`] registry snapshot
-/// stays byte-identical to the pre-streaming engine's.
+/// checkpointed runs so a plain run's registry snapshot stays
+/// byte-identical to the pre-streaming engine's.
 ///
 /// `written` is part of the deterministic surface (same chunking ⇒ same
 /// count, checkpointed and restored); `recoveries` and `rejected` are
@@ -967,14 +748,14 @@ impl RunProfiler {
         self.merge_fraction.set(report.merge_fraction);
         // Cumulative pool dispatch wait so far — the series the
         // `dispatch_wait_budget` alert rule watches. Zero (absent from
-        // the report) on the inline path.
+        // the report) when the pool has no threads.
         self.dispatch_wait
             .set(report.pool_dispatch_wait_secs.unwrap_or(0.0));
     }
 
     /// Attributes a pool dispatch's queue wait (dispatch entry → each
-    /// worker's first instruction) — the pool-path successor of the
-    /// scoped engine's per-chunk spawn wait.
+    /// worker's first instruction); recorded only when the pool has
+    /// threads.
     fn record_pool_dispatch_wait(&mut self, us: u64) {
         self.acc.record_pool_dispatch_wait(us);
     }
@@ -991,11 +772,38 @@ impl RunProfiler {
     }
 }
 
-/// The checkpointed streaming engine — [`collect_sharded`] is this with
-/// a default [`StreamConfig`]. See the module docs for the chunked
-/// execution model, the checkpoint/recovery supervisor, and the extended
-/// FJ01 contract (resume-from-checkpoint is bit-identical to an
-/// uninterrupted run at any shard count).
+/// Runs the fleet from `start` (inclusive) to `end` (exclusive) at the
+/// poll period `step`, applying `events` at their scheduled times and
+/// recording one sample per poll — the engine's one entry point.
+///
+/// `instrumented` lists fleet indices carrying Autopower units (the
+/// paper deployed three); their wall power is recorded externally.
+/// `poll_faults` decides which polls fail: its drop channel, drawn per
+/// router per round (streams `"snmp/{router}"` and `"wall/{router}"`),
+/// turns each failed poll into a gap marker on the per-router series,
+/// and any round with at least one failed SNMP poll turns the
+/// fleet-total sample into a gap — the total is unknowable when a
+/// contributor is missing. [`FaultPlan::clean`] collects fault-free.
+///
+/// Reports into `telemetry` (usually [`fj_telemetry::global`]):
+/// per-round span timing, `gaps_total` counters by source, a per-router
+/// health ladder (gauge `fleet_router_health`), and a Warn cause event —
+/// stamped with the round's sim time — for every gap marker pushed onto
+/// a series. `StreamConfig::default()` collects the whole horizon as one
+/// chunk at the default shard count ([`fj_par::shard_count`],
+/// overridable via `FJ_SHARDS`).
+///
+/// See the module docs for the chunked execution model, the
+/// checkpoint/recovery supervisor, and the extended FJ01 contract:
+/// traces, gap markers, telemetry events, and counters are bit-identical
+/// for every shard count and chunk size, and resume-from-checkpoint is
+/// bit-identical to an uninterrupted run.
+///
+/// # Errors
+///
+/// [`SimError::InvalidCollection`] for a non-positive `step` or an event
+/// aimed at a router outside the fleet; otherwise the first router
+/// error in fleet order.
 #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
 pub fn collect_streaming(
     fleet: &mut Fleet,
@@ -1008,16 +816,19 @@ pub fn collect_streaming(
     telemetry: &Arc<Telemetry>,
     config: &StreamConfig,
 ) -> Result<StreamOutcome, SimError> {
-    assert!(step.is_positive(), "poll period must be positive");
+    if !step.is_positive() {
+        return Err(SimError::InvalidCollection(format!(
+            "poll period {step} is not positive"
+        )));
+    }
     sort_events(&mut events);
     let router_count = fleet.routers.len();
-    for e in &events {
-        assert!(
-            e.kind.router() < router_count,
+    if let Some(e) = events.iter().find(|e| e.kind.router() >= router_count) {
+        return Err(SimError::InvalidCollection(format!(
             "event at {} targets router {} of a {router_count}-router fleet",
             e.at,
             e.kind.router()
-        );
+        )));
     }
     let shards = if config.shards == 0 {
         fj_par::shard_count()
@@ -1268,22 +1079,39 @@ pub fn collect_streaming(
     let mut chunks_done = 0u64;
     let mut completed = true;
 
-    // The persistent worker pool: threads are spawned once here and
-    // parked on their channels between chunks; `shards <= 1` runs inline
-    // with no pool at all. The pool is sized to the host — shard counts
-    // above the core count (the FJ01 1024-shard case) round-robin onto
-    // the available workers deterministically.
-    let pool = (shards > 1).then(|| fj_par::WorkerPool::new(fj_par::clamp_shards(shards)));
+    // The run's worker pool: threads are spawned once here and parked on
+    // their channels between chunks; at one shard it has none and every
+    // chunk simulates inline. The pool is sized to the host — shard
+    // counts above the core count (the FJ01 1024-shard case) round-robin
+    // onto the available workers deterministically.
+    let pool = fj_par::WorkerPool::for_shards(shards);
+    // Prefetching the next chunk pays only when workers simulate it
+    // during the merge; inline it would just hold two chunks at once.
+    let pipelined = pool.workers() > 0;
+    let epoch = tracer.epoch();
     let ctx = Arc::new(RunContext {
         start,
         step,
         packets: fleet.packets.clone(),
         events,
         poll_faults: poll_faults.clone(),
-        epoch: tracer.epoch(),
+        epoch,
         chaos: config.chaos_panic.clone(),
     });
-    let profile_epoch = profiler.as_ref().map(|p| p.epoch);
+    // Hands one chunk's cells to the pool for the flight, stamped on the
+    // trace epoch so profiler stats and merge-overlap accounting share
+    // one time base. Yields the dispatch time with the pending handle.
+    let dispatch = |window: ChunkWindow, cells: Vec<RouterCell>| {
+        let ctx = Arc::clone(&ctx);
+        let dispatched_us = epoch.elapsed_micros();
+        let pending = pool.submit_profiled(
+            cells,
+            shards,
+            move || epoch.elapsed_micros(),
+            move |i, cell: &mut RouterCell| run_chunk(&ctx, window, i, cell),
+        );
+        (dispatched_us, pending)
+    };
     let window_at = |first: u64| ChunkWindow {
         first,
         end: rounds_total.min(first.saturating_add(chunk_rounds)),
@@ -1291,15 +1119,14 @@ pub fn collect_streaming(
 
     // Pipelined dispatch state. The first chunk is dispatched before the
     // loop; each iteration then waits on chunk N, dispatches chunk N+1
-    // (pool path), and merges chunk N while N+1 simulates. `boundary` is
+    // (when pipelined), and merges chunk N while N+1 simulates. `boundary` is
     // the worker-side rewind point for supervised restarts, captured at
     // every dispatch; the merge side needs none — it only runs after the
     // chunk succeeded.
     let mut window = window_at(round);
     let mut boundary: Option<Vec<BoundaryState>> =
         supervising.then(|| cells.iter().map(BoundaryState::capture).collect());
-    let mut dispatched_us = profile_epoch.map_or(0, |e| e.elapsed_micros());
-    let mut inflight = dispatch_chunk(pool.as_ref(), &ctx, window, shards, cells, profile_epoch);
+    let (mut dispatched_us, mut inflight) = dispatch(window, cells);
     // Merge interval of the previous chunk, awaiting overlap attribution
     // against the dispatch currently in flight.
     let mut overlap_pending: Option<(u64, u64)> = None;
@@ -1308,7 +1135,11 @@ pub fn collect_streaming(
         // Wait for the chunk's workers, supervising panics: restore the
         // chunk-boundary state, back off, re-dispatch the same window.
         let (cells_now, outs, chunk_stats) = loop {
-            let (mut got, result, stats) = inflight.wait();
+            let fj_par::Completed {
+                items: mut got,
+                result,
+                stats,
+            } = inflight.wait();
             match result {
                 Ok(results) => {
                     let mut outs = Vec::with_capacity(results.len());
@@ -1363,9 +1194,7 @@ pub fn collect_streaming(
                             b.restore_into(cell);
                         }
                         std::thread::sleep(backoff.next_delay(Duration::ZERO));
-                        dispatched_us = profile_epoch.map_or(0, |e| e.elapsed_micros());
-                        inflight =
-                            dispatch_chunk(pool.as_ref(), &ctx, window, shards, got, profile_epoch);
+                        (dispatched_us, inflight) = dispatch(window, got);
                     } else {
                         // Unsupervised (or budget exhausted): crash
                         // context first, then the panic proceeds exactly
@@ -1395,7 +1224,7 @@ pub fn collect_streaming(
             }
         }
 
-        // Decide — and on the pool path start — the next chunk *before*
+        // Decide — and when pipelined start — the next chunk *before*
         // merging this one: that is the pipeline. `stop_after_chunks`
         // counts this chunk, so a stopping run never simulates past the
         // rounds it reports and the returned fleet state matches an
@@ -1413,20 +1242,12 @@ pub fn collect_streaming(
         let ckpt_cells = (config.checkpoints.is_some() && window.end < rounds_total)
             .then(|| capture_router_states(&cells_now));
         let mut cells_opt = Some(cells_now);
-        let mut prefetched: Option<Inflight> = None;
-        if has_next && pool.is_some() {
+        let mut prefetched = None;
+        if has_next && pipelined {
             if let Some(next_cells) = cells_opt.take() {
                 boundary =
                     supervising.then(|| next_cells.iter().map(BoundaryState::capture).collect());
-                dispatched_us = profile_epoch.map_or(0, |e| e.elapsed_micros());
-                prefetched = Some(dispatch_chunk(
-                    pool.as_ref(),
-                    &ctx,
-                    window_at(window.end),
-                    shards,
-                    next_cells,
-                    profile_epoch,
-                ));
+                prefetched = Some(dispatch(window_at(window.end), next_cells));
             }
         }
 
@@ -1448,8 +1269,8 @@ pub fn collect_streaming(
         let sim_span = tracer.begin_span("fleet_simulate", Some(root_span), chunk_start);
         tracer.end_span(sim_span, chunk_end);
         // The serial section the profiler attributes to "merge": worker
-        // span absorption plus the sequential (round, router) replay. On
-        // the pool path the next chunk is already simulating while this
+        // span absorption plus the sequential (round, router) replay. When
+        // pipelined the next chunk is already simulating while this
         // runs — the interval is saved for overlap attribution above.
         let merge_started_us = profiler.as_ref().map(|p| p.epoch.elapsed_micros());
         // Fold each worker's complete stage totals (and span-drop
@@ -1486,8 +1307,8 @@ pub fn collect_streaming(
             let merge_ended_us = p.epoch.elapsed_micros();
             let merge_us = merge_started_us.map_or(0, |t0| merge_ended_us.saturating_sub(t0));
             let stats = chunk_stats.unwrap_or_default();
-            if pool.is_some() {
-                // On the pool path the per-worker spawn wait *is* the
+            if pipelined {
+                // With worker threads the per-worker spawn wait *is* the
                 // dispatch queue wait (channel send + queueing behind
                 // earlier shards on the same worker).
                 p.record_pool_dispatch_wait(stats.spawn_wait_us());
@@ -1581,24 +1402,16 @@ pub fn collect_streaming(
             break;
         }
 
-        // Advance: the pool path already dispatched the next chunk
-        // before the merge; the inline path dispatches it now.
+        // Advance: a pipelined run already dispatched the next chunk
+        // before the merge; an inline one dispatches it now.
         window = window_at(round);
-        inflight = match prefetched {
-            Some(inf) => inf,
+        (dispatched_us, inflight) = match prefetched {
+            Some(next) => next,
             None => {
                 let next_cells = cells_opt.take().unwrap_or_default();
                 boundary =
                     supervising.then(|| next_cells.iter().map(BoundaryState::capture).collect());
-                dispatched_us = profile_epoch.map_or(0, |e| e.elapsed_micros());
-                dispatch_chunk(
-                    pool.as_ref(),
-                    &ctx,
-                    window,
-                    shards,
-                    next_cells,
-                    profile_epoch,
-                )
+                dispatch(window, next_cells)
             }
         };
     }
@@ -1836,15 +1649,35 @@ mod tests {
     use crate::events::EventKind;
     use fj_units::Watts;
 
-    fn day_trace(events: Vec<ScheduledEvent>) -> (Fleet, FleetTrace) {
-        let mut fleet = build_fleet(&FleetConfig::small(11));
-        let trace = collect(
-            &mut fleet,
+    /// One sim day at the 5-minute poll with router 0 metered, default
+    /// engine knobs.
+    fn collect_day(
+        fleet: &mut Fleet,
+        events: Vec<ScheduledEvent>,
+        plan: &FaultPlan,
+        telemetry: &Arc<Telemetry>,
+    ) -> Result<FleetTrace, SimError> {
+        collect_streaming(
+            fleet,
             SimInstant::EPOCH,
             SimInstant::from_days(1),
             SimDuration::from_mins(5),
             events,
             &[0],
+            plan,
+            telemetry,
+            &StreamConfig::default(),
+        )
+        .map(|outcome| outcome.trace)
+    }
+
+    fn day_trace(events: Vec<ScheduledEvent>) -> (Fleet, FleetTrace) {
+        let mut fleet = build_fleet(&FleetConfig::small(11));
+        let trace = collect_day(
+            &mut fleet,
+            events,
+            &FaultPlan::clean(),
+            fj_telemetry::global(),
         )
         .unwrap();
         (fleet, trace)
@@ -1925,16 +1758,7 @@ mod tests {
     fn failed_polls_become_gaps_not_zeros() {
         let mut fleet = build_fleet(&FleetConfig::small(11));
         let plan = FaultPlan::new(0x90115).with_drop_rate(0.2);
-        let trace = collect_with_faults(
-            &mut fleet,
-            SimInstant::EPOCH,
-            SimInstant::from_days(1),
-            SimDuration::from_mins(5),
-            vec![],
-            &[0],
-            &plan,
-        )
-        .unwrap();
+        let trace = collect_day(&mut fleet, vec![], &plan, fj_telemetry::global()).unwrap();
         let ticks = 24 * 12 - 1;
 
         assert!(trace.missed_polls > 0, "plan injected failures");
@@ -1965,16 +1789,7 @@ mod tests {
         // Aggregates over observed intervals stay comparable to a clean
         // collection: random misses shrink the denominator, they do not
         // drag the average down.
-        let mut clean_fleet = build_fleet(&FleetConfig::small(11));
-        let clean = collect(
-            &mut clean_fleet,
-            SimInstant::EPOCH,
-            SimInstant::from_days(1),
-            SimDuration::from_mins(5),
-            vec![],
-            &[0],
-        )
-        .unwrap();
+        let (_, clean) = day_trace(vec![]);
         let until = SimInstant::from_days(1);
         let faulty_mean = trace.total_reported.mean_power_observed(until).unwrap();
         let clean_mean = clean.total_reported.mean_power_observed(until).unwrap();
@@ -1990,17 +1805,7 @@ mod tests {
         let telemetry = Telemetry::with_capacity(16384);
         let mut fleet = build_fleet(&FleetConfig::small(11));
         let plan = FaultPlan::new(0x6A9_0002).with_drop_rate(0.2);
-        let trace = collect_with_telemetry(
-            &mut fleet,
-            SimInstant::EPOCH,
-            SimInstant::from_days(1),
-            SimDuration::from_mins(5),
-            vec![],
-            &[0],
-            &plan,
-            &telemetry,
-        )
-        .unwrap();
+        let trace = collect_day(&mut fleet, vec![], &plan, &telemetry).unwrap();
         assert!(trace.missed_polls > 0, "plan injected failures");
         assert!(
             telemetry.events().evicted() == 0,
@@ -2041,6 +1846,51 @@ mod tests {
             reg.counter_total("gaps_total") > counted,
             "total gaps counted too"
         );
+    }
+
+    #[test]
+    fn non_positive_step_is_a_typed_error() {
+        let mut fleet = build_fleet(&FleetConfig::small(11));
+        let err = collect_streaming(
+            &mut fleet,
+            SimInstant::EPOCH,
+            SimInstant::from_days(1),
+            SimDuration::ZERO,
+            vec![],
+            &[],
+            &FaultPlan::clean(),
+            &Telemetry::with_capacity(16),
+            &StreamConfig::default(),
+        )
+        .expect_err("a zero poll period cannot be collected");
+        assert!(matches!(err, SimError::InvalidCollection(_)), "{err}");
+        assert!(err.to_string().contains("poll period"), "{err}");
+    }
+
+    #[test]
+    fn event_for_a_router_outside_the_fleet_is_a_typed_error() {
+        let mut fleet = build_fleet(&FleetConfig::small(11));
+        let routers = fleet.routers.len();
+        let event = ScheduledEvent {
+            at: SimInstant::from_secs(3600),
+            kind: EventKind::PowerStep {
+                router: routers,
+                delta: Watts::new(10.0),
+            },
+        };
+        let err = collect_day(
+            &mut fleet,
+            vec![event],
+            &FaultPlan::clean(),
+            &Telemetry::with_capacity(16),
+        )
+        .expect_err("an out-of-range event target cannot be applied");
+        assert!(matches!(err, SimError::InvalidCollection(_)), "{err}");
+        assert!(err
+            .to_string()
+            .contains(&format!("targets router {routers}")));
+        // Rejected before the engine took the routers.
+        assert_eq!(fleet.routers.len(), routers);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use fj_faults::FaultPlan;
-use fj_isp::trace::{collect_sharded, collect_streaming, StreamConfig};
+use fj_isp::trace::{collect_streaming, StreamConfig};
 use fj_isp::{build_fleet, EventKind, FleetConfig, FleetTrace, ScheduledEvent};
 use fj_telemetry::Telemetry;
 use fj_units::{SimDuration, SimInstant, Watts};
@@ -49,7 +49,7 @@ fn run(shards: usize) -> (FleetTrace, Arc<Telemetry>) {
     // ladder into quarantine and back within a week.
     let plan = FaultPlan::new(0x6A9_0004).with_drop_rate(0.15);
     let telemetry = Telemetry::with_capacity(1 << 16);
-    let trace = collect_sharded(
+    let trace = collect_streaming(
         &mut fleet,
         SimInstant::EPOCH,
         SimInstant::from_days(7),
@@ -58,9 +58,13 @@ fn run(shards: usize) -> (FleetTrace, Arc<Telemetry>) {
         &[0, 3],
         &plan,
         &telemetry,
-        shards,
+        &StreamConfig {
+            shards,
+            ..Default::default()
+        },
     )
-    .expect("collection succeeds");
+    .expect("collection succeeds")
+    .trace;
     (trace, telemetry)
 }
 

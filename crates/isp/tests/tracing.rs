@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use fj_faults::FaultPlan;
-use fj_isp::trace::collect_sharded;
+use fj_isp::trace::{collect_streaming, StreamConfig};
 use fj_isp::{build_fleet, FleetConfig, FleetTrace};
 use fj_telemetry::Telemetry;
 use fj_units::{SimDuration, SimInstant};
@@ -19,7 +19,7 @@ use fj_units::{SimDuration, SimInstant};
 fn run_day(shards: usize, drop_rate: f64, telemetry: &Arc<Telemetry>) -> FleetTrace {
     let mut fleet = build_fleet(&FleetConfig::small(11));
     let plan = FaultPlan::new(0x6A9_0005).with_drop_rate(drop_rate);
-    collect_sharded(
+    collect_streaming(
         &mut fleet,
         SimInstant::EPOCH,
         SimInstant::from_days(1),
@@ -28,9 +28,13 @@ fn run_day(shards: usize, drop_rate: f64, telemetry: &Arc<Telemetry>) -> FleetTr
         &[0, 3],
         &plan,
         telemetry,
-        shards,
+        &StreamConfig {
+            shards,
+            ..Default::default()
+        },
     )
     .expect("collection succeeds")
+    .trace
 }
 
 #[test]

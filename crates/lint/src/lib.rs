@@ -96,10 +96,10 @@ pub fn lint_root(root: &Path) -> io::Result<Report> {
 /// makes the output byte-identical across shard counts and cold/warm
 /// runs, which CI asserts.
 pub fn lint_root_with(root: &Path, opts: &LintOptions) -> io::Result<Report> {
-    let files = workspace::collect(root)?;
+    let files = workspace::scan(root)?;
     let design = fs::read_to_string(root.join("DESIGN.md")).unwrap_or_default();
-    let scanned: Vec<&SourceFile> = files
-        .iter()
+    let scanned: Vec<SourceFile> = files
+        .into_iter()
         .filter(|f| f.class != FileClass::Vendor)
         .collect();
 
@@ -110,18 +110,23 @@ pub fn lint_root_with(root: &Path, opts: &LintOptions) -> io::Result<Report> {
         opts.shards
     };
 
-    // Parallel per-file stage. `shard_map` returns results in index
-    // order for any shard count, so downstream assembly sees the same
-    // sequence whether this ran on 1 thread or 8.
-    let outcomes: Vec<(u64, bool, FileOutcome)> = fj_par::shard_map(&scanned, shards, |_, file| {
-        let id = symbols::resolve(&file.rel);
-        let surface = symbols::classify(&id, file.class);
-        let key = cache::file_key(&file.text, file.class.label(), surface.label());
-        if let Some(hit) = old_cache.get(&file.rel, key) {
-            return (key, true, hit.clone());
-        }
-        (key, false, lint_file(file, surface))
-    });
+    // Parallel per-file stage. The pool owns the files (and the old
+    // cache) for the dispatch and returns results in index order for any
+    // shard count, so downstream assembly sees the same sequence whether
+    // this ran on 1 thread or 8.
+    let done = fj_par::WorkerPool::for_shards(shards)
+        .submit(scanned, shards, move |_, file: &mut SourceFile| {
+            let id = symbols::resolve(&file.rel);
+            let surface = symbols::classify(&id, file.class);
+            let key = cache::file_key(&file.text, file.class.label(), surface.label());
+            if let Some(hit) = old_cache.get(&file.rel, key) {
+                return (key, true, hit.clone());
+            }
+            (key, false, lint_file(file, surface))
+        })
+        .wait();
+    let scanned = done.items;
+    let outcomes: Vec<(u64, bool, FileOutcome)> = done.result.unwrap_or_else(|p| p.resume());
 
     let mut new_cache = Cache::default();
     let mut cache_hits = 0usize;
@@ -204,7 +209,7 @@ fn lint_file(file: &SourceFile, surface: symbols::Surface) -> FileOutcome {
     };
     let mut findings = Vec::new();
     rules::check_file(&ctx, &mut findings);
-    let registrations = rules::fj04::collect(&ctx);
+    let registrations = rules::fj04::registrations(&ctx);
     let pragmas = suppress::parse(&file.text, &spans);
     for pragma in &pragmas {
         if !pragma.justified {

@@ -55,10 +55,10 @@ fn noun_of(kind: &str) -> &'static str {
     }
 }
 
-/// Per-file half: naming-convention findings. Use [`collect`] for the
+/// Per-file half: naming-convention findings. Use [`registrations`] for the
 /// registrations themselves (the driver cross-checks them globally).
 pub fn check_names(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    for reg in collect(ctx) {
+    for reg in registrations(ctx) {
         let mut problems = Vec::new();
         if !is_snake_case(&reg.name) {
             problems.push("not snake_case".to_owned());
@@ -85,7 +85,7 @@ pub fn check_names(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 /// Extracts literal metric registrations from a library file, outside
 /// inline test modules. Dynamic names (non-literal first arguments) are
 /// skipped — they cannot be checked statically.
-pub fn collect(ctx: &FileCtx<'_>) -> Vec<Registration> {
+pub fn registrations(ctx: &FileCtx<'_>) -> Vec<Registration> {
     let mut out = Vec::new();
     if ctx.class != FileClass::Library {
         return out;

@@ -315,15 +315,9 @@ pub fn mod_decls(code: &str) -> Vec<String> {
 /// scope marker: only shard-adjacent modules can feed shard-produced
 /// collections into a float reduction).
 pub fn references_shard_seam(code: &str) -> bool {
-    [
-        "fj_par::",
-        "use fj_par",
-        "shard_map",
-        "collect_sharded",
-        "collect_streaming",
-    ]
-    .iter()
-    .any(|needle| code.contains(needle))
+    ["fj_par::", "use fj_par", "WorkerPool", "collect_streaming"]
+        .iter()
+        .any(|needle| code.contains(needle))
 }
 
 #[cfg(test)]

@@ -68,7 +68,7 @@ pub fn find_root(start: &Path) -> Option<PathBuf> {
 /// `src/`, `tests/`, and `examples/`), classified. Vendor members are
 /// returned with [`FileClass::Vendor`] and empty text — they are counted
 /// but never read in full or linted.
-pub fn collect(root: &Path) -> io::Result<Vec<SourceFile>> {
+pub fn scan(root: &Path) -> io::Result<Vec<SourceFile>> {
     let manifest = fs::read_to_string(root.join("Cargo.toml"))?;
     let mut member_dirs = expand_members(root, &parse_members(&manifest));
     member_dirs.push(root.to_path_buf()); // the root package itself
@@ -218,7 +218,7 @@ mod tests {
         let here = Path::new(env!("CARGO_MANIFEST_DIR"));
         let root = find_root(here).expect("workspace root above crates/lint");
         assert!(root.join("Cargo.toml").is_file());
-        let files = collect(&root).expect("collect");
+        let files = scan(&root).expect("scan");
         assert!(files.iter().any(|f| f.rel == "crates/lint/src/lexer.rs"));
         assert!(files
             .iter()

@@ -168,7 +168,7 @@ fn fj04_catalogue_checks_both_directions() {
         code: &code,
         test_regions: &[],
     };
-    let regs = rules::fj04::collect(&ctx);
+    let regs = rules::fj04::registrations(&ctx);
     assert_eq!(regs.len(), 1);
 
     // Registered but uncatalogued: finding against the code.
@@ -239,7 +239,7 @@ fn fj04_span_catalogue_checks_both_directions() {
         code: &code,
         test_regions: &[],
     };
-    let regs = rules::fj04::collect(&ctx);
+    let regs = rules::fj04::registrations(&ctx);
     assert_eq!(regs.len(), 2, "both span forms collect: {regs:?}");
     assert!(regs.iter().all(|r| r.kind == "span"));
 
@@ -318,7 +318,7 @@ fn fj04_alert_catalogue_checks_both_directions() {
         code: &code,
         test_regions: &[],
     };
-    let regs = rules::fj04::collect(&ctx);
+    let regs = rules::fj04::registrations(&ctx);
     assert_eq!(regs.len(), 1, "alert registration collects: {regs:?}");
     assert_eq!(regs[0].kind, "alert");
 
@@ -438,35 +438,44 @@ const SHARDY: &str = "crates/isp/src/fixture.rs";
 
 #[test]
 fn fj08_shard_reduction_fires_and_suppresses() {
-    // Direct chain: shard results straight into `.sum()`.
-    let fired = "fn total(xs: &[f64]) -> f64 {\n\
-                 \x20   fj_par::shard_map(xs, 4, |_, x| *x).into_iter().sum()\n\
+    // Direct chain: pool results straight into `.sum()`.
+    let fired = "fn total(xs: Vec<f64>) -> f64 {\n\
+                 \x20   fj_par::WorkerPool::for_shards(4).submit(xs, 4, |_, x| *x).wait().items.into_iter().sum()\n\
                  }\n";
     let (findings, _) = lint(SHARDY, FileClass::Library, fired);
     assert_eq!(rules_of(&findings), ["FJ08"]);
     assert!(findings[0].message.contains("sum"));
 
     // Bound result reduced later in the same block, turbofish spelling.
-    let bound = "fn total(xs: &[f64]) -> f64 {\n\
-                 \x20   let parts = fj_par::shard_map(xs, 4, |_, x| *x);\n\
-                 \x20   let t = parts.iter().sum::<f64>();\n\
+    let bound = "fn total(xs: Vec<f64>) -> f64 {\n\
+                 \x20   let done = fj_par::WorkerPool::for_shards(4).submit(xs, 4, |_, x| *x).wait();\n\
+                 \x20   let t = done.items.iter().sum::<f64>();\n\
                  \x20   t\n\
                  }\n";
     let (findings, _) = lint(SHARDY, FileClass::Library, bound);
     assert_eq!(rules_of(&findings), ["FJ08"], "bound-result form");
 
+    // A profiled dispatch on a caller-held pool: the mapped results feed
+    // `.sum()` through the completed dispatch.
+    let profiled = "fn total(pool: &WorkerPool, xs: Vec<f64>) -> f64 {\n\
+                    \x20   let done = pool.submit_profiled(xs, 4, clock, |_, x| *x).wait();\n\
+                    \x20   done.result.unwrap_or_default().iter().sum()\n\
+                    }\n";
+    let (findings, _) = lint(SHARDY, FileClass::Library, profiled);
+    assert_eq!(rules_of(&findings), ["FJ08"], "profiled pool form");
+
     // Routing through the Kahan seam is the sanctioned fix.
-    let seam = "fn total(xs: &[f64]) -> f64 {\n\
-                \x20   let parts = fj_par::shard_map(xs, 4, |_, x| *x);\n\
-                \x20   PrefixSums::new(&parts).total()\n\
+    let seam = "fn total(xs: Vec<f64>) -> f64 {\n\
+                \x20   let done = fj_par::WorkerPool::for_shards(4).submit(xs, 4, |_, x| *x).wait();\n\
+                \x20   PrefixSums::new(&done.items).total()\n\
                 }\n";
     let (findings, _) = lint(SHARDY, FileClass::Library, seam);
     assert!(findings.is_empty(), "PrefixSums is exempt: {findings:?}");
 
-    let suppressed = "fn total(xs: &[u64]) -> u64 {\n\
-                      \x20   let parts = fj_par::shard_map(xs, 4, |_, x| *x);\n\
+    let suppressed = "fn total(xs: Vec<u64>) -> u64 {\n\
+                      \x20   let done = fj_par::WorkerPool::for_shards(4).submit(xs, 4, |_, x| *x).wait();\n\
                       \x20   // fj-lint: allow(FJ08) — integer sum; addition commutes\n\
-                      \x20   parts.iter().sum()\n\
+                      \x20   done.items.iter().sum()\n\
                       }\n";
     let (findings, n) = lint(SHARDY, FileClass::Library, suppressed);
     assert!(findings.is_empty(), "unexpected: {findings:?}");
@@ -481,8 +490,8 @@ fn fj08_needs_shard_adjacency_and_the_surface() {
     assert!(findings.is_empty(), "no producer, no finding: {findings:?}");
 
     // The same shard-fed reduction off the surface is out of scope.
-    let fired = "fn total(xs: &[f64]) -> f64 {\n\
-                 \x20   fj_par::shard_map(xs, 4, |_, x| *x).into_iter().sum()\n\
+    let fired = "fn total(xs: Vec<f64>) -> f64 {\n\
+                 \x20   fj_par::WorkerPool::for_shards(4).submit(xs, 4, |_, x| *x).wait().items.into_iter().sum()\n\
                  }\n";
     let (findings, _) = lint("crates/obs/src/fixture.rs", FileClass::Library, fired);
     assert!(findings.is_empty(), "fj-obs is off-surface: {findings:?}");

@@ -86,7 +86,7 @@ proptest! {
 #[test]
 fn real_workspace_resolves_completely() {
     let root = workspace::find_root(&std::env::current_dir().unwrap()).expect("workspace root");
-    let files = workspace::collect(&root).expect("collect");
+    let files = workspace::scan(&root).expect("scan");
     let facts: Vec<(String, FileClass, Vec<String>, bool)> = files
         .iter()
         .filter(|f| f.class != FileClass::Vendor)

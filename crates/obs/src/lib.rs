@@ -4,7 +4,7 @@
 //! ~0.95×, and before this crate nothing in the workspace could say
 //! *why*: merge serialization, worker idle time, or checkpoint stalls
 //! at chunk boundaries. `fj-obs` turns the raw per-worker timings that
-//! [`fj_par::try_shard_map_mut_profiled`] collects (plus the engine's
+//! [`fj_par::WorkerPool::submit_profiled`] collects (plus the engine's
 //! measured serial merge time) into a [`ParallelEfficiencyReport`] — the
 //! quantities the ROADMAP's "make parallelism actually pay" item needs
 //! before any 1k/10k/50k scaling work touches the engine.

@@ -2,27 +2,31 @@
 //! efficiency report invariants.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use fj_obs::EfficiencyAccumulator;
-use fj_par::{try_shard_map_mut_profiled, ShardStats, WorkerStats};
+use fj_par::{ShardStats, WorkerPool, WorkerStats};
 use proptest::prelude::*;
 
-/// Runs a profiled sharded map over `len` items with a deterministic,
+/// Runs a profiled pool dispatch over `len` items with a deterministic,
 /// strictly monotonic fake clock (each read advances by one tick plus a
 /// per-item cost), returning the recorded stats.
 fn profiled_run(len: usize, shards: usize, item_cost: u64) -> ShardStats {
-    let tick = AtomicU64::new(0);
-    let clock = || tick.fetch_add(1, Ordering::Relaxed);
-    let mut items: Vec<u64> = (0..len as u64).collect();
-    let (_, stats) = try_shard_map_mut_profiled(&mut items, shards, &clock, |_, v| {
-        // Burn deterministic clock ticks to make workers visibly busy.
-        for _ in 0..item_cost {
-            clock();
-        }
-        *v
-    })
-    .expect("no panic injected");
-    stats
+    let tick = Arc::new(AtomicU64::new(0));
+    let clock = move || tick.fetch_add(1, Ordering::Relaxed);
+    let burn = clock.clone();
+    let items: Vec<u64> = (0..len as u64).collect();
+    let done = WorkerPool::for_shards(shards)
+        .submit_profiled(items, shards, clock, move |_, v| {
+            // Burn deterministic clock ticks to make workers visibly busy.
+            for _ in 0..item_cost {
+                burn();
+            }
+            *v
+        })
+        .wait();
+    assert!(done.result.is_ok(), "no panic injected");
+    done.stats.expect("profiled dispatch reports stats")
 }
 
 fn arb_worker() -> impl Strategy<Value = (u64, u64, u64, u64)> {

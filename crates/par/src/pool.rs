@@ -1,14 +1,14 @@
-//! Persistent worker pool — thread reuse across sharded calls.
+//! Persistent worker pool — fj-par's one executor.
 //!
-//! The scoped combinators in the crate root spawn and join OS threads on
-//! every call. That is fine for one-shot maps, but the streaming engine
-//! issues one sharded call *per chunk*: on a 50k-router, multi-year run
-//! the spawn/join tax is paid thousands of times and the profiler sees it
-//! as linearly growing spawn-wait. [`WorkerPool`] spawns its threads once
-//! per run and parks them on channels between chunks; dispatching a chunk
-//! is a handful of channel sends.
+//! [`WorkerPool`] spawns its threads once and parks them on channels
+//! between dispatches, so the streaming engine, which issues one sharded
+//! dispatch *per chunk*, pays no spawn/join tax per chunk: dispatching
+//! is a handful of channel sends. A pool with no threads
+//! ([`WorkerPool::for_shards`] at one shard) runs every job inline on the
+//! submitting thread with the same per-item panic capture, so callers
+//! need no separate single-shard path.
 //!
-//! The pool keeps every semantic of the scoped API:
+//! Every dispatch keeps the same contract:
 //!
 //! - **Deterministic reduction.** Items are carved into contiguous shards
 //!   by [`shard_ranges`](crate::shard_ranges) and results are reassembled
@@ -16,12 +16,11 @@
 //!   identical to the sequential map for any shard or worker count.
 //! - **Panic capture.** Worker closures run under per-item
 //!   `catch_unwind`; a panic is reported as a [`ShardPanic`] with the
-//!   lowest panicking shard winning, exactly like
-//!   [`try_shard_map_mut`](crate::try_shard_map_mut). Worker threads
+//!   lowest panicking shard winning deterministically. Worker threads
 //!   never unwind, so a panicked chunk leaves the pool fully serviceable
 //!   for the supervised retry.
 //! - **Ownership ping-pong.** Because pool threads are `'static` they
-//!   cannot borrow the caller's slice; [`WorkerPool::submit`] takes the
+//!   cannot borrow the caller's data; [`WorkerPool::submit`] takes the
 //!   items *by value*, ships each shard's sub-vector to a worker, and
 //!   [`Pending::wait`] hands every item back — including the items of a
 //!   panicked shard, which the engine needs for supervised state restore.
@@ -62,19 +61,19 @@ struct ShardDone<T, R> {
 ///
 /// Threads are spawned once in [`WorkerPool::new`] and parked on their
 /// job channels until [`WorkerPool::submit`] feeds them; dropping the
-/// pool closes the channels and joins every thread. If the OS refuses to
-/// spawn a thread the pool degrades gracefully: jobs that cannot be
-/// handed to a worker run inline on the submitting thread, preserving
-/// results exactly (threads only ever decide wall-clock time).
+/// pool closes the channels and joins every thread. A pool with no
+/// threads — asked for, or because the OS refused every spawn — runs
+/// each job inline on the submitting thread, preserving results exactly
+/// (threads only ever decide wall-clock time).
 pub struct WorkerPool {
     senders: Vec<Sender<Job>>,
     handles: Vec<JoinHandle<()>>,
 }
 
 impl WorkerPool {
-    /// Spawns `workers.max(1)` parked threads.
+    /// Spawns `workers` parked threads; with `0`, every dispatch runs
+    /// inline on the submitting thread.
     pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
         let mut senders = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for n in 0..workers {
@@ -99,17 +98,31 @@ impl WorkerPool {
         WorkerPool { senders, handles }
     }
 
-    /// Worker threads actually running (0 only if the OS refused all
-    /// spawns, in which case jobs run inline on the submitting thread).
+    /// A pool sized for dispatches of `shards` shards: no threads at one
+    /// shard or fewer, so every dispatch runs inline on the calling
+    /// thread, and [`clamp_shards`](crate::clamp_shards)`(shards)`
+    /// threads otherwise. Shard counts above the thread count round-robin
+    /// onto the workers deterministically.
+    pub fn for_shards(shards: usize) -> Self {
+        Self::new(if shards <= 1 {
+            0
+        } else {
+            crate::clamp_shards(shards)
+        })
+    }
+
+    /// Worker threads actually running; 0 means jobs run inline on the
+    /// submitting thread.
     pub fn workers(&self) -> usize {
         self.handles.len()
     }
 
     /// Dispatches `f` over `items` split into at most `shards` contiguous
-    /// shards, returning immediately with a [`Pending`] handle. The
-    /// mapped results observed through [`Pending::wait`] are
-    /// bit-identical to [`try_shard_map_mut`](crate::try_shard_map_mut)
-    /// over the same items for any shard or worker count.
+    /// shards, returning immediately with a [`Pending`] handle (on a pool
+    /// with no threads, after running every shard inline). The mapped
+    /// results observed through [`Pending::wait`] are bit-identical to
+    /// the sequential map over the same items for any shard or worker
+    /// count.
     pub fn submit<T, R, F>(&self, items: Vec<T>, shards: usize, f: F) -> Pending<T, R>
     where
         T: Send + 'static,
@@ -120,11 +133,12 @@ impl WorkerPool {
     }
 
     /// [`WorkerPool::submit`] with per-worker utilization measured
-    /// through a caller-supplied monotonic clock, mirroring
-    /// [`try_shard_map_mut_profiled`](crate::try_shard_map_mut_profiled):
-    /// `spawn_wait` covers dispatch entry → job start (i.e. channel send
-    /// plus queue wait behind earlier shards on the same worker),
-    /// `busy` the item loop, and `join_wait` job end → `wait` returning.
+    /// through a caller-supplied monotonic clock (units are whatever the
+    /// clock returns; the engine passes its trace epoch, keeping this
+    /// crate free of wall-clock reads): `spawn_wait` covers dispatch
+    /// entry → job start (i.e. channel send plus queue wait behind
+    /// earlier shards on the same worker), `busy` the item loop, and
+    /// `join_wait` job end → `wait` returning.
     pub fn submit_profiled<T, R, F, C>(
         &self,
         items: Vec<T>,
@@ -155,13 +169,23 @@ impl WorkerPool {
         F: Fn(usize, &mut T) -> R + Send + Sync + 'static,
     {
         let entered_us = clock.as_ref().map_or(0, |c| c());
-        let ranges = shard_ranges(items.len(), shards);
+        let mut ranges = shard_ranges(items.len(), shards);
+        if ranges.is_empty() {
+            // An empty dispatch still runs one empty shard, so profiled
+            // stats always report at least one worker.
+            ranges.push(0..0);
+        }
         // Carve the item vector into owned per-shard parts without
         // shifting: split the tail off back-to-front, then restore order.
+        // Shard 0 keeps the original buffer.
         let mut parts: Vec<(usize, std::ops::Range<usize>, Vec<T>)> = Vec::new();
-        for (shard, range) in ranges.iter().enumerate().rev() {
-            let part = items.split_off(range.start);
-            parts.push((shard, range.clone(), part));
+        for (shard, range) in ranges.into_iter().enumerate().rev() {
+            let part = if range.start == 0 {
+                std::mem::take(&mut items)
+            } else {
+                items.split_off(range.start)
+            };
+            parts.push((shard, range, part));
         }
         parts.reverse();
         let (done_tx, done_rx) = channel::<ShardDone<T, R>>();
@@ -226,8 +250,7 @@ impl WorkerPool {
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         // Closing the channels ends each worker's recv loop; join so no
-        // thread outlives the pool (structured concurrency, as with the
-        // scoped API).
+        // thread outlives the pool.
         self.senders.clear();
         for handle in self.handles.drain(..) {
             // fj-lint: allow(FJ05) — join on teardown: workers never
@@ -339,8 +362,7 @@ mod tests {
 
     #[test]
     fn pool_map_matches_sequential_for_any_shard_and_worker_count() {
-        let seq: Vec<u64> = (0..257u64).map(|i| i * 3 + 1).collect();
-        for workers in [1usize, 2, 4] {
+        for workers in [0usize, 1, 2, 4] {
             let pool = WorkerPool::new(workers);
             for shards in [1usize, 2, 3, 7, 16, 257, 1024] {
                 let items: Vec<u64> = (0..257).collect();
@@ -350,7 +372,6 @@ mod tests {
                 });
                 let completed = done.wait();
                 let out = completed.result.expect("no panic");
-                assert_eq!(out.len(), 257, "workers {workers} shards {shards}");
                 assert_eq!(
                     out,
                     (0..257u64).map(|i| i * 4 + 1).collect::<Vec<_>>(),
@@ -361,7 +382,6 @@ mod tests {
                     (1..258u64).collect::<Vec<_>>(),
                     "items return mutated, in order"
                 );
-                assert_eq!(seq.len(), out.len());
             }
         }
     }
@@ -387,18 +407,20 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_runs_all_items_on_one_worker() {
-        let pool = WorkerPool::new(4);
-        let hits = Arc::new(AtomicUsize::new(0));
-        let h = Arc::clone(&hits);
-        let done = pool
-            .submit((0..64u64).collect(), 1, move |_, v: &mut u64| {
-                h.fetch_add(1, Ordering::Relaxed);
-                *v
-            })
-            .wait();
-        assert_eq!(hits.load(Ordering::Relaxed), 64);
-        assert_eq!(done.result.expect("no panic").len(), 64);
+    fn every_item_runs_exactly_once() {
+        for (workers, shards) in [(4usize, 1usize), (4, 8), (0, 8)] {
+            let pool = WorkerPool::new(workers);
+            let hits = Arc::new(AtomicUsize::new(0));
+            let h = Arc::clone(&hits);
+            let done = pool
+                .submit((0..64u64).collect(), shards, move |_, v: &mut u64| {
+                    h.fetch_add(1, Ordering::Relaxed);
+                    *v
+                })
+                .wait();
+            assert_eq!(hits.load(Ordering::Relaxed), 64, "workers {workers}");
+            assert_eq!(done.result.expect("no panic").len(), 64);
+        }
     }
 
     #[test]
@@ -406,25 +428,42 @@ mod tests {
         // 32 items over 4 shards: panic at 20 (shard 2) and 5 (shard 0)
         // — shard 0 must win, and every item must come back mutated up
         // to (but excluding) its shard's panic site.
-        let pool = WorkerPool::new(2);
+        for workers in [0usize, 2] {
+            let pool = WorkerPool::new(workers);
+            let done = pool
+                .submit((0..32usize).collect(), 4, |i, v: &mut usize| {
+                    *v += 100;
+                    assert!(i != 20 && i != 5, "injected at {i}");
+                    i
+                })
+                .wait();
+            let err = done.result.expect_err("panics must surface");
+            assert_eq!(err.shard, 0, "workers {workers}");
+            let msg = err
+                .payload
+                .downcast_ref::<String>()
+                .expect("assert message");
+            assert!(msg.contains("injected"), "payload preserved: {msg}");
+            // All 32 items return, in order; non-panicked ones mutated.
+            assert_eq!(done.items.len(), 32);
+            assert_eq!(done.items[0], 100);
+            assert_eq!(done.items[31], 131);
+        }
+    }
+
+    #[test]
+    fn inline_panic_is_shard_zero_and_every_item_returns() {
+        let pool = WorkerPool::for_shards(1);
         let done = pool
-            .submit((0..32usize).collect(), 4, |i, v: &mut usize| {
-                *v += 100;
-                assert!(i != 20 && i != 5, "injected at {i}");
-                i
+            .submit(vec![1u8, 2, 3], 1, |_, v: &mut u8| -> u8 {
+                assert!(*v == 0, "inline injected for {v}");
+                0
             })
             .wait();
-        let err = done.result.expect_err("panics must surface");
+        let err = done.result.expect_err("inline panic surfaces");
         assert_eq!(err.shard, 0);
-        let msg = err
-            .payload
-            .downcast_ref::<String>()
-            .expect("assert message");
-        assert!(msg.contains("injected"), "payload preserved: {msg}");
-        // All 32 items return, in order; non-panicked ones mutated.
-        assert_eq!(done.items.len(), 32);
-        assert_eq!(done.items[0], 100);
-        assert_eq!(done.items[31], 131);
+        assert!(format!("{err:?}").contains("shard"));
+        assert_eq!(done.items, vec![1, 2, 3]);
     }
 
     #[test]
@@ -447,35 +486,54 @@ mod tests {
 
     #[test]
     fn profiled_dispatch_partitions_wall_per_worker() {
-        let tick = Arc::new(AtomicUsize::new(0));
-        let t = Arc::clone(&tick);
+        for workers in [0usize, 2] {
+            let tick = Arc::new(AtomicUsize::new(0));
+            let t = Arc::clone(&tick);
+            let pool = WorkerPool::new(workers);
+            let done = pool
+                .submit_profiled(
+                    (0..53i64).collect(),
+                    4,
+                    move || t.fetch_add(1, Ordering::Relaxed) as u64,
+                    |i, v: &mut i64| {
+                        *v = i as i64;
+                        i
+                    },
+                )
+                .wait();
+            let out = done.result.expect("no panic");
+            assert_eq!(out, (0..53).collect::<Vec<usize>>());
+            let stats = done.stats.expect("profiled");
+            assert_eq!(stats.shards(), 4);
+            assert_eq!(stats.items(), 53);
+            // The fake clock is strictly monotonic, so each worker's three
+            // segments partition the dispatch wall exactly.
+            for w in &stats.workers {
+                assert_eq!(
+                    w.spawn_wait_us + w.busy_us + w.join_wait_us,
+                    stats.wall_us,
+                    "workers {workers} shard {}",
+                    w.shard
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn profiled_dispatch_surfaces_panics_like_unprofiled() {
         let pool = WorkerPool::new(2);
         let done = pool
             .submit_profiled(
-                (0..53i64).collect(),
+                (0..32usize).collect(),
                 4,
-                move || t.fetch_add(1, Ordering::Relaxed) as u64,
-                |i, v: &mut i64| {
-                    *v = i as i64;
+                || 0,
+                |i, _: &mut usize| {
+                    assert!(i != 20, "injected at {i}");
                     i
                 },
             )
             .wait();
-        let out = done.result.expect("no panic");
-        assert_eq!(out, (0..53).collect::<Vec<usize>>());
-        let stats = done.stats.expect("profiled");
-        assert_eq!(stats.shards(), 4);
-        assert_eq!(stats.items(), 53);
-        // The fake clock is strictly monotonic, so each worker's three
-        // segments partition the dispatch wall exactly.
-        for w in &stats.workers {
-            assert_eq!(
-                w.spawn_wait_us + w.busy_us + w.join_wait_us,
-                stats.wall_us,
-                "shard {}",
-                w.shard
-            );
-        }
+        assert_eq!(done.result.expect_err("panics must surface").shard, 2);
     }
 
     #[test]
@@ -496,10 +554,12 @@ mod tests {
     }
 
     #[test]
-    fn zero_worker_request_still_serves_inline_semantics() {
-        let pool = WorkerPool::new(0);
-        assert_eq!(pool.workers(), 1, "clamped to one thread");
-        let done = pool.submit(vec![7u8], 4, |i, v| (i, *v)).wait();
-        assert_eq!(done.result.expect("no panic"), vec![(0, 7)]);
+    fn one_shard_pool_has_no_threads_and_runs_inline() {
+        for pool in [WorkerPool::new(0), WorkerPool::for_shards(1)] {
+            assert_eq!(pool.workers(), 0);
+            let done = pool.submit(vec![7u8], 4, |i, v| (i, *v)).wait();
+            assert_eq!(done.result.expect("no panic"), vec![(0, 7)]);
+        }
+        assert_eq!(WorkerPool::for_shards(2).workers(), crate::clamp_shards(2));
     }
 }

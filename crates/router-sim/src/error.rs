@@ -29,6 +29,9 @@ pub enum SimError {
     SlotOccupied(usize),
     /// The linecard slot is empty.
     SlotEmpty(usize),
+    /// A fleet collection request the engine cannot run: a non-positive
+    /// poll period, or an event aimed at a router outside the fleet.
+    InvalidCollection(String),
 }
 
 impl fmt::Display for SimError {
@@ -55,6 +58,7 @@ impl fmt::Display for SimError {
             SimError::NoSuchSlot(s) => write!(f, "no linecard slot {s}"),
             SimError::SlotOccupied(s) => write!(f, "linecard slot {s} is occupied"),
             SimError::SlotEmpty(s) => write!(f, "linecard slot {s} is empty"),
+            SimError::InvalidCollection(why) => write!(f, "invalid fleet collection: {why}"),
         }
     }
 }

@@ -12,20 +12,26 @@
 use fantastic_joules::traffic::fit_pattern;
 use fantastic_joules::units::{SimDuration, SimInstant};
 use fantastic_joules::zoo::{Contributor, TraceKind, Zoo};
-use fj_isp::{build_fleet, publish_fleet, trace, FleetConfig};
+use fj_faults::FaultPlan;
+use fj_isp::trace::{self, StreamConfig};
+use fj_isp::{build_fleet, publish_fleet, FleetConfig};
 
 fn main() {
     // 1. Collect a week of fleet telemetry.
     let mut fleet = build_fleet(&FleetConfig::small(42));
-    let traces = trace::collect(
+    let traces = trace::collect_streaming(
         &mut fleet,
         SimInstant::EPOCH,
         SimInstant::from_days(7),
         SimDuration::from_mins(5),
         vec![],
         &[0],
+        &FaultPlan::clean(),
+        fj_telemetry::global(),
+        &StreamConfig::default(),
     )
-    .expect("collection");
+    .expect("collection")
+    .trace;
 
     // 2. Publish everything to a zoo.
     let mut zoo = Zoo::new();

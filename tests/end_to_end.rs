@@ -6,7 +6,9 @@ use fantastic_joules::hypnos::{algorithm, sleeping_savings, HypnosConfig};
 use fantastic_joules::netpowerbench::{compare_to_reference, Derivation, DerivationConfig};
 use fantastic_joules::psu::{uplift_savings, EightyPlus};
 use fantastic_joules::units::{SimDuration, SimInstant};
-use fj_isp::{build_fleet, stats, trace, FleetConfig};
+use fj_faults::FaultPlan;
+use fj_isp::trace::{self, StreamConfig};
+use fj_isp::{build_fleet, stats, FleetConfig};
 
 /// Lab → model → validation: derive a model from simulated experiments
 /// and check it against the published reference — the §5+§6 loop.
@@ -31,15 +33,19 @@ fn derive_then_validate_against_published_model() {
 #[test]
 fn fleet_trace_prediction_offset_is_small_and_negative() {
     let mut fleet = build_fleet(&FleetConfig::small(17));
-    let traces = trace::collect(
+    let traces = trace::collect_streaming(
         &mut fleet,
         SimInstant::EPOCH,
         SimInstant::from_days(2),
         SimDuration::from_mins(5),
         vec![],
         &[0, 1, 2],
+        &FaultPlan::clean(),
+        fj_telemetry::global(),
+        &StreamConfig::default(),
     )
-    .expect("collection");
+    .expect("collection")
+    .trace;
 
     for idx in [0usize, 1, 2] {
         let rt = &traces.routers[idx];

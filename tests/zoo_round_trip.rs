@@ -5,7 +5,9 @@ use fantastic_joules::core::{Speed, TransceiverType};
 use fantastic_joules::netpowerbench::{Derivation, DerivationConfig};
 use fantastic_joules::units::{SimDuration, SimInstant};
 use fantastic_joules::zoo::{Contributor, ModelEntry, PsuEntry, TraceEntry, TraceKind, Zoo};
-use fj_isp::{build_fleet, stats, trace, FleetConfig};
+use fj_faults::FaultPlan;
+use fj_isp::trace::{self, StreamConfig};
+use fj_isp::{build_fleet, stats, FleetConfig};
 
 #[test]
 fn build_publish_and_reload_a_zoo() {
@@ -27,15 +29,19 @@ fn build_publish_and_reload_a_zoo() {
 
     // 2. Fleet traces (a day of SNMP + one instrumented router).
     let mut fleet = build_fleet(&FleetConfig::small(23));
-    let traces = trace::collect(
+    let traces = trace::collect_streaming(
         &mut fleet,
         SimInstant::EPOCH,
         SimInstant::from_days(1),
         SimDuration::from_mins(5),
         vec![],
         &[0],
+        &FaultPlan::clean(),
+        fj_telemetry::global(),
+        &StreamConfig::default(),
     )
-    .expect("collection");
+    .expect("collection")
+    .trace;
     for rt in &traces.routers {
         if !rt.psu_reported.is_empty() {
             zoo.add_trace(TraceEntry {
