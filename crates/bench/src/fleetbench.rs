@@ -14,8 +14,7 @@
 
 use fj_faults::FaultPlan;
 use fj_isp::trace::{collect_streaming, estimated_peak_record_bytes, StreamConfig};
-use fj_isp::{build_fleet, FleetConfig, FleetTrace};
-use fj_obs::ParallelEfficiencyReport;
+use fj_isp::{build_fleet, FleetConfig, FleetTrace, ParallelEfficiencyReport};
 use fj_router_sim::SimError;
 use fj_telemetry::{Telemetry, WallEpoch};
 use fj_units::{SimDuration, SimInstant};
@@ -580,7 +579,7 @@ mod tests {
     fn with_profiles(mut doc: Report, eff: f64, merge: f64) -> Report {
         for cfg in &mut doc.sweep {
             for run in &mut cfg.runs {
-                let mut profile = fj_obs::ParallelEfficiencyReport::empty(run.shards);
+                let mut profile = ParallelEfficiencyReport::empty(run.shards);
                 profile.efficiency = eff;
                 profile.merge_fraction = merge;
                 run.efficiency = Some(profile);

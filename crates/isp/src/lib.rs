@@ -29,6 +29,7 @@ pub mod config;
 pub mod events;
 pub mod fleet;
 pub mod predict;
+pub mod profile;
 pub mod publish;
 pub mod stats;
 pub mod trace;
@@ -40,6 +41,7 @@ pub use config::FleetConfig;
 pub use events::{EventKind, ScheduledEvent};
 pub use fleet::{Fleet, FleetRouter, LinkSide, PlannedInterface};
 pub use predict::ModelPredictor;
+pub use profile::ParallelEfficiencyReport;
 pub use publish::publish_fleet;
 pub use stats::{FleetInsights, InterfaceShare};
 pub use trace::{

@@ -78,11 +78,10 @@ use serde::{Deserialize, Serialize};
 
 use fj_alerts::{AlertEngine, AlertRule, TransitionKind};
 use fj_faults::{Backoff, FaultPlan, HealthState, TargetHealth};
-use fj_obs::{EfficiencyAccumulator, ParallelEfficiencyReport};
 use fj_router_sim::SimError;
 use fj_telemetry::{
-    Counter, Gauge, Histogram, Level, RunProgress, SpanBuffer, SpanId, SpanTimer, StageSpan,
-    Telemetry, TraceSink, WallEpoch,
+    Counter, Gauge, Histogram, Level, RunProgress, SpanBuffer, SpanId, StageSpan, Telemetry,
+    TraceSink, WallEpoch,
 };
 use fj_traffic::PacketProfile;
 use fj_units::{SimDuration, SimInstant, TimeSeries};
@@ -91,6 +90,7 @@ use crate::checkpoint::{self, CheckpointConfig, CheckpointError};
 use crate::events::{sort_events, ScheduledEvent};
 use crate::fleet::{Fleet, FleetRouter};
 use crate::predict::ModelPredictor;
+use crate::profile::{ParallelEfficiencyReport, RunProfile};
 
 /// Numeric encoding of the health ladder for the per-router gauge
 /// (`fleet_router_health`): 0 healthy, 1 degraded, 2 quarantined.
@@ -699,79 +699,6 @@ impl AlertPlane {
     }
 }
 
-/// Profiler state for one streaming run: the efficiency accumulator plus
-/// the profiler-only registry series. Like the recovery counters, these
-/// series exist only when the feature is enabled and are excluded from
-/// FJ01 comparisons by name — they are wall-clock-derived and *should*
-/// differ between otherwise identical runs.
-struct RunProfiler {
-    epoch: WallEpoch,
-    /// Epoch reading when this run started, so rates cover only the work
-    /// this process actually did (a resumed prefix is not ours).
-    started_us: u64,
-    acc: EfficiencyAccumulator,
-    efficiency: Gauge,
-    merge_fraction: Gauge,
-    rounds_per_sec: Gauge,
-    shard_busy: Histogram,
-    dispatch_wait: Gauge,
-}
-
-impl RunProfiler {
-    fn new(registry: &fj_telemetry::Registry, epoch: WallEpoch) -> Self {
-        Self {
-            started_us: epoch.elapsed_micros(),
-            epoch,
-            acc: EfficiencyAccumulator::default(),
-            efficiency: registry.gauge("fleet_parallel_efficiency", &[]),
-            merge_fraction: registry.gauge("fleet_merge_fraction", &[]),
-            rounds_per_sec: registry.gauge("fleet_progress_rounds_per_sec", &[]),
-            shard_busy: registry.histogram("fleet_shard_busy_seconds", &[]),
-            dispatch_wait: registry.gauge("fleet_pool_dispatch_wait_seconds", &[]),
-        }
-    }
-
-    /// Wall microseconds since this run started.
-    fn run_us(&self) -> u64 {
-        self.epoch.elapsed_micros().saturating_sub(self.started_us)
-    }
-
-    /// Folds one merged chunk into the accumulator and refreshes the
-    /// profiler-only series with the run-so-far report.
-    fn record_chunk(&mut self, stats: &fj_par::ShardStats, merge_us: u64) {
-        for w in &stats.workers {
-            self.shard_busy.observe(w.busy_us as f64 / 1e6);
-        }
-        self.acc.record_chunk(stats, merge_us);
-        let report = self.report();
-        self.efficiency.set(report.efficiency);
-        self.merge_fraction.set(report.merge_fraction);
-        // Cumulative pool dispatch wait so far — the series the
-        // `dispatch_wait_budget` alert rule watches. Zero (absent from
-        // the report) when the pool has no threads.
-        self.dispatch_wait
-            .set(report.pool_dispatch_wait_secs.unwrap_or(0.0));
-    }
-
-    /// Attributes a pool dispatch's queue wait (dispatch entry → each
-    /// worker's first instruction); recorded only when the pool has
-    /// threads.
-    fn record_pool_dispatch_wait(&mut self, us: u64) {
-        self.acc.record_pool_dispatch_wait(us);
-    }
-
-    /// Attributes the part of a merge interval that ran while the pool
-    /// was already simulating the next chunk.
-    fn record_merge_overlap(&mut self, us: u64) {
-        self.acc.record_merge_overlap(us);
-    }
-
-    /// The efficiency report over the run so far.
-    fn report(&self) -> ParallelEfficiencyReport {
-        self.acc.report(self.run_us())
-    }
-}
-
 /// Runs the fleet from `start` (inclusive) to `end` (exclusive) at the
 /// poll period `step`, applying `events` at their scheduled times and
 /// recording one sample per poll — the engine's one entry point.
@@ -1066,9 +993,10 @@ pub fn collect_streaming(
     // Profiler state is created only when asked for: an unprofiled run
     // registers none of the profiler-only series and takes no clock
     // reads beyond what the span stamps already do.
+    let epoch = tracer.epoch();
     let mut profiler = config
         .profile
-        .then(|| RunProfiler::new(registry, tracer.epoch()));
+        .then(|| RunProfile::new(registry, epoch.elapsed_micros()));
     let mut checkpoints_written = 0u64;
 
     let supervising = config.max_restarts > 0;
@@ -1088,7 +1016,6 @@ pub fn collect_streaming(
     // Prefetching the next chunk pays only when workers simulate it
     // during the merge; inline it would just hold two chunks at once.
     let pipelined = pool.workers() > 0;
-    let epoch = tracer.epoch();
     let ctx = Arc::new(RunContext {
         start,
         step,
@@ -1129,7 +1056,7 @@ pub fn collect_streaming(
     let (mut dispatched_us, mut inflight) = dispatch(window, cells);
     // Merge interval of the previous chunk, awaiting overlap attribution
     // against the dispatch currently in flight.
-    let mut overlap_pending: Option<(u64, u64)> = None;
+    let mut overlap_pending: Option<std::ops::Range<u64>> = None;
     let final_cells: Vec<RouterCell>;
     loop {
         // Wait for the chunk's workers, supervising panics: restore the
@@ -1217,12 +1144,13 @@ pub fn collect_streaming(
         // merge interval ran while this chunk's workers were still busy.
         // `dispatched_us + critical_end` is the absolute epoch time the
         // last worker finished its item loop.
-        if let (Some(p), Some((m0, m1))) = (&mut profiler, overlap_pending.take()) {
-            if let Some(stats) = &chunk_stats {
+        let merge_overlap_us = match (overlap_pending.take(), &chunk_stats) {
+            (Some(prev), Some(stats)) => {
                 let workers_end = dispatched_us.saturating_add(stats.critical_end_us());
-                p.record_merge_overlap(workers_end.min(m1).saturating_sub(m0));
+                workers_end.min(prev.end).saturating_sub(prev.start)
             }
-        }
+            _ => 0,
+        };
 
         // Decide — and when pipelined start — the next chunk *before*
         // merging this one: that is the pipeline. `stop_after_chunks`
@@ -1272,7 +1200,7 @@ pub fn collect_streaming(
         // span absorption plus the sequential (round, router) replay. When
         // pipelined the next chunk is already simulating while this
         // runs — the interval is saved for overlap attribution above.
-        let merge_started_us = profiler.as_ref().map(|p| p.epoch.elapsed_micros());
+        let merge_started_us = profiler.as_ref().map(|_| epoch.elapsed_micros());
         // Fold each worker's complete stage totals (and span-drop
         // counts) into the sink before replay, in fleet order.
         for o in &outs {
@@ -1303,24 +1231,18 @@ pub fn collect_streaming(
             plane.eval(telemetry, chunk_end);
         }
 
-        if let Some(p) = &mut profiler {
-            let merge_ended_us = p.epoch.elapsed_micros();
-            let merge_us = merge_started_us.map_or(0, |t0| merge_ended_us.saturating_sub(t0));
-            let stats = chunk_stats.unwrap_or_default();
-            if pipelined {
-                // With worker threads the per-worker spawn wait *is* the
-                // dispatch queue wait (channel send + queueing behind
-                // earlier shards on the same worker).
-                p.record_pool_dispatch_wait(stats.spawn_wait_us());
-            }
-            p.record_chunk(&stats, merge_us);
+        if let (Some(p), Some(merge_started_us)) = (&mut profiler, merge_started_us) {
+            let merge = merge_started_us..epoch.elapsed_micros();
             if prefetched.is_some() {
-                if let Some(t0) = merge_started_us {
-                    overlap_pending = Some((t0, merge_ended_us));
-                }
+                overlap_pending = Some(merge.clone());
             }
-            let report = p.report();
-            let wall_secs = p.run_us() as f64 / 1e6;
+            let stats = chunk_stats.unwrap_or_default();
+            // With worker threads the per-worker spawn wait *is* the
+            // dispatch queue wait (channel send + queueing behind earlier
+            // shards on the same worker); inline there is no queue.
+            let dispatch_wait_us = if pipelined { stats.spawn_wait_us() } else { 0 };
+            let report = p.record_chunk(&stats, merge, dispatch_wait_us, merge_overlap_us);
+            let wall_secs = report.wall_secs;
             let merged_here = round.saturating_sub(first_round);
             let rate = if wall_secs > 0.0 {
                 merged_here as f64 / wall_secs
@@ -1429,7 +1351,7 @@ pub fn collect_streaming(
         restarts,
         resumed_at_round,
         checkpoints_rejected,
-        efficiency: profiler.as_ref().map(RunProfiler::report),
+        efficiency: profiler.as_ref().map(|p| p.report(epoch.elapsed_micros())),
         alerts: alert_plane.map(|p| p.engine),
     })
 }
@@ -1499,6 +1421,7 @@ fn merge_chunk(
     start: SimInstant,
     step: SimDuration,
 ) {
+    let epoch = tracer.epoch();
     for round in window.first..window.end {
         let t = round_time(start, step, round);
         // Stamp the sim clock first: every event emitted this round —
@@ -1506,7 +1429,7 @@ fn merge_chunk(
         // markers on the trace join to their cause events by `ts`.
         telemetry.set_now(t);
         metrics.rounds.inc();
-        let round_span = SpanTimer::wall(metrics.round_duration.clone());
+        let round_started = epoch.elapsed();
         let rec_index = usize::try_from(round - window.first).unwrap_or(usize::MAX);
 
         let mut total_wall = 0.0;
@@ -1637,7 +1560,8 @@ fn merge_chunk(
         }
         trace.total_traffic.push(t, total_traffic);
 
-        round_span.finish();
+        let round_secs = epoch.elapsed().saturating_sub(round_started).as_secs_f64();
+        metrics.round_duration.observe(round_secs);
     }
 }
 

@@ -2,10 +2,10 @@
 //!
 //! Simulation-visible behaviour must be a pure function of seeds and the
 //! sim clock (PR 1's fault plans and the chaos soak replay byte-for-byte
-//! because of this). Wall time is allowed only behind the explicit
-//! abstractions (`SpanTimer::wall`, `WallEpoch`) whose implementations
-//! carry a justified allow pragma — everything else must either take a
-//! clock/seed or justify itself in place.
+//! because of this). Wall time is allowed only behind the explicit seam
+//! (`WallEpoch`, `WallDeadline` in `fj-telemetry::clock`), whose
+//! implementation carries a justified allow-file pragma — everything
+//! else must either take a clock/seed or justify itself in place.
 //!
 //! Threads deserve the same scrutiny but not a needle: the workspace's
 //! one concurrency seam is `fj_par::WorkerPool`, whose shard reduction
@@ -43,7 +43,7 @@ pub fn check(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                 pos,
                 format!(
                     "`{needle}` outside the wall-clock allowlist; take a SimInstant/seed, \
-                     use SpanTimer/WallEpoch, or justify with an allow pragma"
+                     use WallEpoch/WallDeadline, or justify with an allow pragma"
                 ),
             ));
         }

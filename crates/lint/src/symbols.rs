@@ -11,8 +11,9 @@
 //! the lexer's code mask exposes, then classifies each module as on or
 //! off the deterministic surface, seeded from the seams previous PRs
 //! audited by hand (the `fj-telemetry::clock` wall seam, the `fj-par`
-//! concurrency seam, the recovery/diagnostic planes of `fj-obs`,
-//! `fj-telemetry::progress`, and `fj-telemetry::flightrec`).
+//! concurrency seam, the recovery/diagnostic planes of
+//! `fj-isp::profile`, `fj-telemetry::progress`, and
+//! `fj-telemetry::flightrec`).
 //!
 //! Resolution is **total**: any `.rs` path maps to exactly one module
 //! identity, even for files no `mod` chain reaches (those are reported
@@ -73,8 +74,9 @@ const AUDITED_SEAMS: &[(&str, &str)] = &[
 /// [`AUDITED_SEAMS`]. These are the diagnostic/recovery planes the FJ01
 /// runtime suites explicitly exclude from bit-for-bit comparisons.
 const OFF_SURFACE: &[(&str, &str)] = &[
-    // Parallel-efficiency reporting (PR 7) — wall-time derived.
-    ("obs", ""),
+    // The engine's run profiler and parallel-efficiency report —
+    // wall-time derived.
+    ("isp", "profile"),
     // Live run-progress plane (PR 7) — wall-time derived snapshots.
     ("telemetry", "progress"),
     // Flight recorder (PR 5) — trips on faults, dumps diagnostics.
@@ -374,7 +376,7 @@ mod tests {
         assert_eq!(surf("crates/par/src/lib.rs"), Surface::AuditedSeam);
         // The persistent worker pool rides the whole-crate seam entry.
         assert_eq!(surf("crates/par/src/pool.rs"), Surface::AuditedSeam);
-        assert_eq!(surf("crates/obs/src/lib.rs"), Surface::Off);
+        assert_eq!(surf("crates/isp/src/profile.rs"), Surface::Off);
         assert_eq!(surf("crates/telemetry/src/progress.rs"), Surface::Off);
         assert_eq!(surf("crates/telemetry/src/flightrec.rs"), Surface::Off);
         assert_eq!(

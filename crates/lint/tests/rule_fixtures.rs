@@ -415,8 +415,11 @@ fn fj07_hash_collections_fire_and_suppress() {
 fn fj07_scoped_to_the_deterministic_surface() {
     let src = "fn index(s: &HashSet<u32>) -> usize { s.len() }\n";
     // Off-surface observability is out of scope.
-    let (findings, _) = lint("crates/obs/src/fixture.rs", FileClass::Library, src);
-    assert!(findings.is_empty(), "fj-obs is off-surface: {findings:?}");
+    let (findings, _) = lint("crates/isp/src/profile.rs", FileClass::Library, src);
+    assert!(
+        findings.is_empty(),
+        "fj-isp::profile is off-surface: {findings:?}"
+    );
     // Audited seams are out of scope.
     let (findings, _) = lint("crates/par/src/fixture.rs", FileClass::Library, src);
     assert!(
@@ -493,8 +496,11 @@ fn fj08_needs_shard_adjacency_and_the_surface() {
     let fired = "fn total(xs: Vec<f64>) -> f64 {\n\
                  \x20   fj_par::WorkerPool::for_shards(4).submit(xs, 4, |_, x| *x).wait().items.into_iter().sum()\n\
                  }\n";
-    let (findings, _) = lint("crates/obs/src/fixture.rs", FileClass::Library, fired);
-    assert!(findings.is_empty(), "fj-obs is off-surface: {findings:?}");
+    let (findings, _) = lint("crates/isp/src/profile.rs", FileClass::Library, fired);
+    assert!(
+        findings.is_empty(),
+        "fj-isp::profile is off-surface: {findings:?}"
+    );
 }
 
 #[test]

@@ -120,7 +120,7 @@ fn real_workspace_resolves_completely() {
         Surface::AuditedSeam
     );
     assert_eq!(surface("crates/par/src/lib.rs"), Surface::AuditedSeam);
-    assert_eq!(surface("crates/obs/src/lib.rs"), Surface::Off);
+    assert_eq!(surface("crates/isp/src/profile.rs"), Surface::Off);
     assert_eq!(surface("crates/telemetry/src/progress.rs"), Surface::Off);
     assert_eq!(surface("crates/telemetry/src/flightrec.rs"), Surface::Off);
     assert_eq!(surface("crates/isp/src/fleet.rs"), Surface::Deterministic);

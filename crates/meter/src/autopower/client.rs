@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use fj_faults::Backoff;
-use fj_telemetry::{Counter, Gauge, Histogram, Level, SpanTimer, Telemetry, WallEpoch};
+use fj_telemetry::{Counter, Gauge, Histogram, Level, Telemetry, WallEpoch};
 
 use super::protocol::{read_message, write_message, Message, PowerSample, ProtoError};
 
@@ -294,9 +294,10 @@ impl AutopowerClient {
             return Err(ProtoError::Backoff);
         }
         self.metrics.flushes.inc();
-        let span = SpanTimer::wall(self.metrics.flush_duration.clone());
+        let started = self.epoch.elapsed();
         let result = self.try_flush();
-        span.finish();
+        let flush_secs = self.epoch.elapsed().saturating_sub(started).as_secs_f64();
+        self.metrics.flush_duration.observe(flush_secs);
         match &result {
             Ok(()) => {
                 self.backoff.reset();
@@ -459,6 +460,58 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(client.buffered(), 1);
+    }
+
+    /// `autopower_flush_duration_seconds` observes one latency per
+    /// attempted flush — uploads and failed dials alike — and nothing for
+    /// a flush the backoff window suppressed or an empty buffer skipped.
+    #[test]
+    fn flush_duration_counts_attempted_flushes_only() {
+        let telemetry = Telemetry::new();
+        let server = AutopowerServer::spawn().unwrap();
+        let mut client =
+            AutopowerClient::with_telemetry("unit-fd", server.addr(), Arc::clone(&telemetry));
+        for i in 0..2 {
+            client.push_sample(sample(i, 50.0));
+            client.flush().unwrap();
+        }
+        client.flush().unwrap(); // empty buffer: no attempt
+        let mut attempted = 2u64;
+
+        // A dead server: the first flush dials and fails, opening the
+        // backoff window; flushes inside it are suppressed.
+        client.set_server("127.0.0.1:1".parse().unwrap());
+        client.push_sample(sample(2, 50.0));
+        const SUPPRESSED: u64 = 4;
+        let mut suppressed = 0u64;
+        for _ in 0..1_000 {
+            if suppressed == SUPPRESSED {
+                break;
+            }
+            match client.flush() {
+                Err(ProtoError::Backoff) => suppressed += 1,
+                Err(ProtoError::Io(_)) => attempted += 1,
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert_eq!(suppressed, SUPPRESSED, "the backoff window never opened");
+
+        let registry = telemetry.registry();
+        let durations = registry
+            .histogram("autopower_flush_duration_seconds", &[])
+            .snapshot();
+        assert_eq!(durations.count, attempted);
+        assert_eq!(
+            registry.counter("autopower_flushes_total", &[]).get(),
+            attempted
+        );
+        assert_eq!(
+            registry
+                .counter("autopower_backoff_suppressed_total", &[])
+                .get(),
+            SUPPRESSED
+        );
+        server.shutdown();
     }
 
     #[test]

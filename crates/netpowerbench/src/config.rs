@@ -2,10 +2,12 @@
 
 use serde::{Deserialize, Serialize};
 
-use fj_core::{Speed, TransceiverType};
+use fj_core::{InterfaceClass, Speed, TransceiverType};
 use fj_router_sim::{RouterSpec, SimError};
 use fj_traffic::RateSweep;
 use fj_units::SimDuration;
+
+use crate::derive::BenchError;
 
 /// Everything a derivation run needs to know.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -63,16 +65,17 @@ impl DerivationConfig {
         Self::new(model, transceiver, speed, 4, SimDuration::from_mins(8))
     }
 
-    /// A thorough configuration: as many pairs as the chassis offers
-    /// (capped at 12) and 45-minute points — comparable to a real lab
-    /// session and good to ~0.01 W on the static terms.
+    /// A thorough configuration: as many pairs as the chassis has ports
+    /// for the characterised class (capped at 12) and 45-minute points —
+    /// comparable to a real lab session and good to ~0.01 W on the
+    /// static terms.
     pub fn thorough(
         model: &str,
         transceiver: TransceiverType,
         speed: Speed,
     ) -> Result<Self, SimError> {
         let spec = RouterSpec::builtin(model)?;
-        let pairs = (spec.port_count() / 2).min(12);
+        let pairs = (eligible_ports(&spec, transceiver, speed).count() / 2).min(12);
         Self::new(model, transceiver, speed, pairs, SimDuration::from_mins(45))
     }
 
@@ -80,11 +83,46 @@ impl DerivationConfig {
     pub fn interfaces(&self) -> usize {
         self.pairs * 2
     }
+
+    /// The ports the bench cables, in chassis order: the first
+    /// `2 * pairs` whose cage accepts the characterised transceiver at
+    /// the characterised speed (the ports `plug` would take), paired
+    /// `(ports[0], ports[1]), (ports[2], ports[3]), …`. A mixed chassis
+    /// (48×RJ45 then 6×QSFP28) thus characterises its QSFP28 class on the
+    /// QSFP28 cages.
+    pub fn bench_ports(&self) -> Result<Vec<usize>, BenchError> {
+        let needed = self.interfaces().max(2);
+        let mut ports: Vec<usize> =
+            eligible_ports(&self.spec, self.transceiver, self.speed).collect();
+        if ports.len() < needed {
+            return Err(BenchError::TooFewPorts {
+                needed,
+                eligible: ports.len(),
+            });
+        }
+        ports.truncate(needed);
+        Ok(ports)
+    }
+}
+
+/// Indices of the ports of `spec` that can carry `transceiver` at
+/// `speed`: the cage supports the speed and the ground truth prices the
+/// resulting class — the same checks `SimulatedRouter::plug` makes.
+fn eligible_ports(
+    spec: &RouterSpec,
+    transceiver: TransceiverType,
+    speed: Speed,
+) -> impl Iterator<Item = usize> + '_ {
+    spec.ports.iter().enumerate().filter_map(move |(i, slot)| {
+        let class = InterfaceClass::new(slot.port, transceiver, speed);
+        (slot.speeds.contains(&speed) && spec.truth.lookup(class).is_some()).then_some(i)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fj_core::PortType;
 
     #[test]
     fn quick_config_zeroes_psu_variability() {
@@ -107,6 +145,49 @@ mod tests {
             .unwrap();
         assert!(c.pairs > 4);
         assert!(c.interfaces() <= c.spec.port_count());
+    }
+
+    #[test]
+    fn bench_ports_are_the_leading_ports_on_a_uniform_chassis() {
+        let c = DerivationConfig::thorough("8201-32FH", TransceiverType::PassiveDac, Speed::G100)
+            .unwrap();
+        let ports = c.bench_ports().unwrap();
+        assert_eq!(ports, (0..c.interfaces()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn bench_ports_skip_cages_that_cannot_take_the_class() {
+        // 48×RJ45 then 6×QSFP28: the 100G class lives on the QSFP28 tail.
+        let c = DerivationConfig::thorough(
+            "Nexus93108TC-FX3P",
+            TransceiverType::PassiveDac,
+            Speed::G100,
+        )
+        .unwrap();
+        assert_eq!(c.pairs, 3, "six QSFP28 cages make three pairs");
+        let ports = c.bench_ports().unwrap();
+        assert_eq!(ports, (48..54).collect::<Vec<_>>());
+        assert!(ports
+            .iter()
+            .all(|&i| c.spec.ports[i].port == PortType::Qsfp28));
+    }
+
+    #[test]
+    fn too_few_eligible_ports_is_a_typed_error() {
+        let mut c = DerivationConfig::thorough(
+            "Nexus93108TC-FX3P",
+            TransceiverType::PassiveDac,
+            Speed::G100,
+        )
+        .unwrap();
+        c.pairs = 4;
+        match c.bench_ports() {
+            Err(BenchError::TooFewPorts {
+                needed: 8,
+                eligible: 6,
+            }) => {}
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]

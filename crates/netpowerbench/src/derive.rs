@@ -21,6 +21,14 @@ pub enum BenchError {
     Stats(StatsError),
     /// The derived model failed an internal sanity check.
     Unphysical(String),
+    /// The chassis has fewer ports that accept the characterised
+    /// transceiver and speed than the configuration cables.
+    TooFewPorts {
+        /// Ports the configuration needs (`2 * pairs`, at least 2).
+        needed: usize,
+        /// Ports that accept the class.
+        eligible: usize,
+    },
 }
 
 impl fmt::Display for BenchError {
@@ -29,6 +37,10 @@ impl fmt::Display for BenchError {
             BenchError::Sim(e) => write!(f, "simulator error: {e}"),
             BenchError::Stats(e) => write!(f, "regression error: {e}"),
             BenchError::Unphysical(s) => write!(f, "unphysical result: {s}"),
+            BenchError::TooFewPorts { needed, eligible } => write!(
+                f,
+                "{needed} ports needed for the class, the chassis has {eligible}"
+            ),
         }
     }
 }
@@ -195,8 +207,7 @@ impl Derivation {
         if !p_base.is_finite() || p_base <= 0.0 {
             return Err(BenchError::Unphysical(format!("P_base = {p_base}")));
         }
-        let class =
-            InterfaceClass::new(config.spec.ports[0].port, config.transceiver, config.speed);
+        let class = InterfaceClass::new(bench.port_type(), config.transceiver, config.speed);
         let params = InterfaceParams {
             p_port: Watts::new(p_port),
             p_trx_in: Watts::new(p_trx_in),
@@ -301,5 +312,42 @@ mod tests {
         assert!(p.p_trx_in.abs().as_f64() < 0.05, "DAC trx_in ≈ 0");
         assert!((p.p_trx_up.as_f64() - 0.69).abs() < 0.08);
         assert!((p.e_bit.as_picojoules() - 1.7).abs() < 0.8);
+    }
+
+    /// A mixed chassis (48×RJ45 then 6×QSFP28, Table 6b): the QSFP28
+    /// 100G class is characterised on the QSFP28 cages, not on RJ45
+    /// ports that cannot take the module.
+    #[test]
+    fn derivation_recovers_nexus_qsfp28_row_on_a_mixed_chassis() {
+        let config = DerivationConfig::thorough(
+            "Nexus93108TC-FX3P",
+            TransceiverType::PassiveDac,
+            Speed::G100,
+        )
+        .unwrap();
+        let derived = Derivation::run(&config, 7).unwrap();
+        assert_eq!(derived.class.port, fj_core::PortType::Qsfp28);
+        let p = derived.params();
+        assert!((derived.model.p_base.as_f64() - 147.0).abs() < 0.5);
+        assert!(
+            (p.p_port.as_f64() - 0.17).abs() < 0.03,
+            "P_port {}",
+            p.p_port
+        );
+        assert!(
+            (p.p_trx_in.as_f64() - 0.11).abs() < 0.03,
+            "P_trx_in {}",
+            p.p_trx_in
+        );
+        assert!(
+            (p.p_trx_up.as_f64() - 0.23).abs() < 0.05,
+            "P_trx_up {}",
+            p.p_trx_up
+        );
+        assert!(
+            (p.e_bit.as_picojoules() - 5.4).abs() < 1.0,
+            "E_bit {} pJ",
+            p.e_bit.as_picojoules()
+        );
     }
 }

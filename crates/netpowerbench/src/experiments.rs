@@ -3,13 +3,14 @@
 
 use serde::{Deserialize, Serialize};
 
-use fj_core::{InterfaceLoad, Speed, TransceiverType};
+use fj_core::{InterfaceLoad, PortType, Speed, TransceiverType};
 use fj_meter::Mcp39F511N;
 use fj_router_sim::{SimError, SimulatedRouter};
 use fj_traffic::{PacketProfile, SnakeTest};
 use fj_units::{Bytes, DataRate};
 
 use crate::config::DerivationConfig;
+use crate::derive::BenchError;
 
 /// The five experiment types of §5.2.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -53,6 +54,9 @@ pub struct LabBench {
     router: SimulatedRouter,
     meter: Mcp39F511N,
     config: DerivationConfig,
+    /// The cabled ports ([`DerivationConfig::bench_ports`]): pair `p` is
+    /// `(ports[2p], ports[2p + 1])`.
+    ports: Vec<usize>,
     seed: u64,
     /// Session clock: monotonically increasing across experiments even
     /// though the DUT is factory-reset between them. Without it every
@@ -66,9 +70,10 @@ pub struct LabBench {
 }
 
 impl LabBench {
-    /// Sets up a bench: fresh DUT, pairs cabled `(0,1), (2,3), …`, with
-    /// the MCP39F511N's datasheet accuracy (±0.5 %).
-    pub fn new(config: DerivationConfig, seed: u64) -> Result<Self, SimError> {
+    /// Sets up a bench: fresh DUT, consecutive
+    /// [`DerivationConfig::bench_ports`] cabled in pairs, with the
+    /// MCP39F511N's datasheet accuracy (±0.5 %).
+    pub fn new(config: DerivationConfig, seed: u64) -> Result<Self, BenchError> {
         Self::with_meter_accuracy(config, seed, 0.005)
     }
 
@@ -78,13 +83,15 @@ impl LabBench {
         config: DerivationConfig,
         seed: u64,
         accuracy: f64,
-    ) -> Result<Self, SimError> {
+    ) -> Result<Self, BenchError> {
+        let ports = config.bench_ports()?;
         let router = SimulatedRouter::new(config.spec.clone(), seed);
         let meter = Mcp39F511N::with_accuracy(seed ^ 0x004D_4554_4552, accuracy); // "METER"
         Ok(Self {
             router,
             meter,
             config,
+            ports,
             seed,
             clock: fj_units::SimInstant::EPOCH,
             log: Vec::new(),
@@ -94,6 +101,13 @@ impl LabBench {
     /// The transceiver/speed under characterisation.
     pub fn class(&self) -> (TransceiverType, Speed) {
         (self.config.transceiver, self.config.speed)
+    }
+
+    /// Cage type of the cabled ports — the port half of the derived
+    /// interface class.
+    pub fn port_type(&self) -> PortType {
+        // `bench_ports` yields at least two ports.
+        self.config.spec.ports[self.ports[0]].port
     }
 
     fn measure(&mut self, kind: ExperimentKind) -> f64 {
@@ -156,7 +170,7 @@ impl LabBench {
             bit_rate: snake.per_interface_rate(),
             pkt_rate: profile.packet_rate(snake.per_interface_rate()),
         };
-        for i in 0..self.config.interfaces() {
+        for &i in &self.ports {
             self.router.set_load(i, per_iface)?;
         }
         Ok(self.measure(ExperimentKind::Snake {
@@ -170,7 +184,7 @@ impl LabBench {
     /// or mis-configured snakes, which would silently corrupt the
     /// regressions (a snake with a dead hop measures the wrong topology).
     pub fn verify_forwarding(&self) -> Result<(), SimError> {
-        for i in 0..self.config.interfaces() {
+        for &i in &self.ports {
             let st = self.router.interface(i)?;
             if st.octets == 0 {
                 return Err(SimError::CageEmpty(i)); // repurposed: no traffic seen
@@ -190,8 +204,8 @@ impl LabBench {
         both_up: usize,
     ) -> Result<(), SimError> {
         self.reset_dut();
-        for p in 0..pairs {
-            let (a, b) = (2 * p, 2 * p + 1);
+        for (p, pair) in self.ports.chunks_exact(2).take(pairs).enumerate() {
+            let (a, b) = (pair[0], pair[1]);
             self.router
                 .plug(a, self.config.transceiver, self.config.speed)?;
             self.router

@@ -121,7 +121,7 @@ impl std::fmt::Debug for ShardPanic {
 /// (the shard's last item → [`Pending::wait`] returning, i.e. time spent
 /// waiting for sibling shards). By construction
 /// `spawn_wait_us + busy_us + join_wait_us == ShardStats::wall_us` up to
-/// clock granularity — the invariant the fj-obs proptests pin down.
+/// clock granularity — the invariant the `pool_props` proptests pin down.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerStats {
     /// Shard index this entry describes.

@@ -7,8 +7,32 @@
 //! shards round-robin onto workers, or whether they run inline) may only
 //! ever change wall-clock time.
 
-use fj_par::{shard_ranges, WorkerPool};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use fj_par::{shard_ranges, ShardStats, WorkerPool};
 use proptest::prelude::*;
+
+/// Runs a profiled pool dispatch over `len` items with a deterministic,
+/// strictly monotonic fake clock (each read advances by one tick plus a
+/// per-item cost), returning the recorded stats.
+fn profiled_run(len: usize, shards: usize, item_cost: u64) -> ShardStats {
+    let tick = Arc::new(AtomicU64::new(0));
+    let clock = move || tick.fetch_add(1, Ordering::Relaxed);
+    let burn = clock.clone();
+    let items: Vec<u64> = (0..len as u64).collect();
+    let done = WorkerPool::for_shards(shards)
+        .submit_profiled(items, shards, clock, move |_, v| {
+            // Burn deterministic clock ticks to make workers visibly busy.
+            for _ in 0..item_cost {
+                burn();
+            }
+            *v
+        })
+        .wait();
+    assert!(done.result.is_ok(), "no panic injected");
+    done.stats.expect("profiled dispatch reports stats")
+}
 
 proptest! {
     /// Pool output == sequential map, element for element, for arbitrary
@@ -69,9 +93,6 @@ proptest! {
         shards in 1usize..20,
         workers in 0usize..4,
     ) {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-
         let tick = Arc::new(AtomicU64::new(0));
         let t = Arc::clone(&tick);
         let pool = WorkerPool::new(workers);
@@ -93,5 +114,32 @@ proptest! {
             // dispatch wall exactly under a monotonic clock.
             prop_assert_eq!(w.spawn_wait_us + w.busy_us + w.join_wait_us, stats.wall_us);
         }
+    }
+
+    /// The accounting identity: every worker's spawn wait + busy + join
+    /// wait sums to the call's measured wall time, within one clock tick
+    /// per sampled stamp (the fake clock advances on every read, so the
+    /// four samples taken around a worker cost at most 4 ticks of skew).
+    #[test]
+    fn worker_segments_sum_to_wall(
+        len in 0usize..200,
+        shards in 1usize..9,
+        item_cost in 0u64..50,
+    ) {
+        let stats = profiled_run(len, shards, item_cost);
+        // The inline path (≤ 1 range) still reports a single worker.
+        prop_assert_eq!(stats.shards(), fj_par::shard_ranges(len, shards).len().max(1));
+        prop_assert_eq!(stats.items(), len as u64);
+        for w in &stats.workers {
+            let accounted = w.spawn_wait_us + w.busy_us + w.join_wait_us;
+            let skew = accounted.abs_diff(stats.wall_us);
+            prop_assert!(
+                skew <= 4,
+                "shard {}: {} + {} + {} = {accounted} vs wall {} (skew {skew})",
+                w.shard, w.spawn_wait_us, w.busy_us, w.join_wait_us, stats.wall_us
+            );
+        }
+        // Total busy never exceeds the available worker-time.
+        prop_assert!(stats.busy_us() <= stats.wall_us * stats.shards().max(1) as u64);
     }
 }

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use fj_alerts::{AlertEngine, AlertRule};
 use fj_faults::{Backoff, HealthState, TargetHealth};
-use fj_telemetry::{Counter, Histogram, Level, SpanTimer, Telemetry, WallDeadline, WallEpoch};
+use fj_telemetry::{Counter, Histogram, Level, Telemetry, WallDeadline, WallEpoch};
 
 use crate::codec::{Pdu, PduType, SnmpError};
 use crate::mib::MibValue;
@@ -276,7 +276,7 @@ impl SnmpPoller {
             );
             return Err(SnmpError::TargetSuppressed);
         }
-        let span = SpanTimer::wall(self.metrics.poll_duration.clone());
+        let started = self.epoch.elapsed();
         let poll_span = self
             .telemetry
             .tracer()
@@ -288,8 +288,10 @@ impl SnmpPoller {
         self.telemetry
             .tracer()
             .end_span(poll_span, self.telemetry.now());
-        span.finish();
         let now = self.epoch.elapsed();
+        self.metrics
+            .poll_duration
+            .observe(now.saturating_sub(started).as_secs_f64());
         // Update the health ladder first, then mirror the outcome into
         // metrics/events (the target entry borrow must end before that).
         let (before, after, backoff_delay) = {

@@ -10,6 +10,7 @@ use fj_faults::{FaultPlan, HealthState};
 use fj_router_sim::{RouterSpec, SimulatedRouter};
 use fj_snmp::mib::{oids, total_psu_power};
 use fj_snmp::{MibValue, SnmpAgent, SnmpError, SnmpPoller};
+use fj_telemetry::Telemetry;
 use fj_units::{Bytes, DataRate, SimDuration};
 
 fn lab_router() -> SimulatedRouter {
@@ -235,6 +236,53 @@ fn failing_target_degrades_and_backs_off() {
     assert_eq!(poller.health(dead), HealthState::Quarantined);
 }
 
+/// `snmp_poll_duration_seconds` observes one latency per attempted round
+/// trip — successes and timeouts alike — and nothing for a poll the
+/// backoff window suppressed before it touched the network.
+#[test]
+fn poll_duration_counts_round_trips_not_suppressed_polls() {
+    let router = Arc::new(Mutex::new(lab_router()));
+    let agent = SnmpAgent::spawn(Arc::clone(&router)).unwrap();
+    let telemetry = Telemetry::new();
+    let mut poller = SnmpPoller::with_telemetry(Arc::clone(&telemetry)).unwrap();
+    poller.timeout = std::time::Duration::from_millis(10);
+    poller.retries = 1;
+    let oid = oids::sys_descr();
+
+    const LIVE: u64 = 3;
+    for _ in 0..LIVE {
+        poller.get(agent.addr(), &oid).unwrap();
+    }
+    // A dead target: every attempt times out and widens the backoff
+    // window, so polls in between are suppressed without a round trip.
+    let dead = "127.0.0.1:9".parse().unwrap();
+    const SUPPRESSED: u64 = 4;
+    let (mut attempted, mut suppressed) = (0u64, 0u64);
+    for _ in 0..1_000 {
+        if suppressed == SUPPRESSED {
+            break;
+        }
+        match poller.get(dead, &oid) {
+            Err(SnmpError::TargetSuppressed) => suppressed += 1,
+            Err(SnmpError::Timeout) => attempted += 1,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    assert_eq!(suppressed, SUPPRESSED, "the backoff window never opened");
+    assert!(attempted >= 1, "the first dead poll is a real round trip");
+
+    let registry = telemetry.registry();
+    let durations = registry
+        .histogram("snmp_poll_duration_seconds", &[])
+        .snapshot();
+    assert_eq!(durations.count, LIVE + attempted);
+    assert_eq!(
+        registry.counter("snmp_polls_suppressed_total", &[]).get(),
+        SUPPRESSED
+    );
+    agent.shutdown();
+}
+
 #[test]
 fn recovered_target_returns_to_healthy() {
     let router = Arc::new(Mutex::new(lab_router()));
@@ -357,7 +405,6 @@ fn health_transition_sequence_matches_seeded_plan() {
     // the plan's drop pattern through a reference `TargetHealth` and
     // demand the poller's transition events tell the same story.
     use fj_faults::TargetHealth;
-    use fj_telemetry::Telemetry;
 
     let plan = FaultPlan::new(0xA11_AD5E).with_drop_rate(0.6);
     const POLLS: u64 = 30;

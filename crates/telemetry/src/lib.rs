@@ -1,4 +1,4 @@
-//! `fj-telemetry` — structured events, metrics, and span timing for the
+//! `fj-telemetry` — structured events, metrics, and traces for the
 //! measurement plane.
 //!
 //! PR 1 made the measurement pipeline lossy *by design* — drops, backoff,
@@ -7,16 +7,13 @@
 //! disagree; doing that honestly requires watching the pipeline itself,
 //! or collection artifacts silently become wrong energy numbers.
 //!
-//! Three primitives, zero external dependencies:
+//! Four primitives, zero external dependencies:
 //!
 //! * **metrics** — [`Counter`], [`Gauge`], and log-linear-bucket
 //!   [`Histogram`]s with labels, registered in a [`Registry`] that
 //!   renders a Prometheus-style text snapshot and a JSON snapshot;
 //! * **events** — a leveled, bounded-ring [`EventLog`] of structured
 //!   [`Event`]s, replacing every `eprintln!`-style site;
-//! * **spans** — a [`SpanTimer`] producing per-stage latency histograms,
-//!   wall-clock for real network paths and sim-clock for simulation
-//!   paths (no `std::time::Instant` ever feeds simulated behaviour);
 //! * **traces** — a [`TraceSink`] of hierarchical causal spans with dual
 //!   sim+wall stamps, merged deterministically from bounded per-worker
 //!   buffers and exportable as Chrome/Perfetto `trace_event` JSON or a
@@ -24,6 +21,12 @@
 //! * **flight recorder** — an armable dump of the recent span+event rings
 //!   written when a fault-health ladder leaves `Healthy` or a shard
 //!   worker panics (see [`Telemetry::arm_flight_recorder`]).
+//!
+//! Every wall-clock read goes through the audited [`WallEpoch`] /
+//! [`WallDeadline`] seam in [`clock`]: a wall latency (a UDP round trip,
+//! a TCP flush, a merged poll round) is an `epoch.elapsed()` delta
+//! observed into a [`Histogram`], and no `std::time::Instant` ever feeds
+//! simulated behaviour.
 //!
 //! A [`Telemetry`] bundle ties these together with a settable sim
 //! clock: sim drivers call [`Telemetry::set_now`] each tick, so every
@@ -40,7 +43,6 @@ pub mod histogram;
 pub mod metrics;
 pub mod progress;
 pub mod render;
-pub mod span;
 pub mod trace;
 
 use std::path::{Path, PathBuf};
@@ -57,7 +59,6 @@ pub use events::{Event, EventLog, Level};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use metrics::{Counter, Gauge, MetricSnapshot, MetricValue, Registry, RegistrySnapshot};
 pub use progress::RunProgress;
-pub use span::SpanTimer;
 pub use trace::{Span, SpanBuffer, SpanId, SpanRecord, StageSpan, TraceSink};
 
 use flightrec::FlightRecorder;
