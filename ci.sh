@@ -34,9 +34,8 @@ cargo run -q -p fj-bench --bin telemetry_smoke
 echo "==> alert smoke (default pack parses; seeded faults must fire)"
 cargo run -q --release -p fj-bench --bin alert_smoke
 
-echo "==> paper derivations (Table 2 and Table 6 regenerators must exit zero)"
-cargo run -q --release -p fj-bench --bin exp_table2_power_models
-cargo run -q --release -p fj-bench --bin exp_table6_additional_models
+echo "==> paper fidelity (every experiment runs; verdicts must match the expected drift set)"
+cargo run -q --release -p fj-bench --bin exp -- all
 
 echo "==> fleet throughput smoke (asserts shard-count determinism + dispatch-wait budget)"
 # The ≥2-shard cells run on the persistent worker pool: cumulative

@@ -31,8 +31,8 @@ pub const BURN_FACTOR: f64 = 2.0;
 /// `bench_fleet` CI budget.
 pub const DISPATCH_WAIT_BUDGET_SECS: f64 = 0.25;
 
-/// The default rule pack evaluated by fleet runs, experiment banners,
-/// and the alert smoke gate.
+/// The default rule pack evaluated by fleet runs, every `exp`
+/// experiment at exit, and the alert smoke gate.
 pub fn default_pack() -> Vec<AlertRule> {
     vec![
         // The paper's first-order data-quality number: what fraction of

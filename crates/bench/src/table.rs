@@ -14,10 +14,10 @@ impl TablePrinter {
     }
 
     /// Prints one row; missing cells render empty.
-    pub fn row(&self, cells: &[String]) {
+    pub fn row(&self, cells: &[impl AsRef<str>]) {
         let mut line = String::new();
         for (i, width) in self.widths.iter().enumerate() {
-            let cell = cells.get(i).map_or("", String::as_str);
+            let cell = cells.get(i).map_or("", AsRef::as_ref);
             line.push_str(&format!("{cell:>width$}  "));
         }
         println!("{}", line.trim_end());
@@ -25,7 +25,7 @@ impl TablePrinter {
 
     /// Prints a header row followed by a separator.
     pub fn header(&self, cells: &[&str]) {
-        self.row(&cells.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+        self.row(cells);
         let total: usize = self.widths.iter().map(|w| w + 2).sum();
         println!("{}", "-".repeat(total));
     }
@@ -41,19 +41,6 @@ pub fn pct(v: f64) -> String {
     format!("{v:+.1} %")
 }
 
-/// "shape check": whether `measured` lies within `rel_tol` (relative) or
-/// `abs_tol` (absolute) of `paper`. Experiments report PASS/DRIFT rather
-/// than asserting — absolute agreement with the authors' testbed is
-/// explicitly out of scope; the *shape* must hold.
-pub fn shape(paper: f64, measured: f64, rel_tol: f64, abs_tol: f64) -> &'static str {
-    let diff = (paper - measured).abs();
-    if diff <= abs_tol || diff <= rel_tol * paper.abs() {
-        "ok"
-    } else {
-        "drift"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,12 +50,5 @@ mod tests {
         assert_eq!(fmt(3.21159, 2), "3.21");
         assert_eq!(pct(40.33), "+40.3 %");
         assert_eq!(pct(-24.0), "-24.0 %");
-    }
-
-    #[test]
-    fn shape_classifier() {
-        assert_eq!(shape(100.0, 104.0, 0.05, 0.0), "ok");
-        assert_eq!(shape(100.0, 120.0, 0.05, 0.0), "drift");
-        assert_eq!(shape(0.0, 0.3, 0.05, 0.5), "ok");
     }
 }

@@ -8,7 +8,7 @@
 //! for always-on full traces.
 //!
 //! A recorder is **armed** with an experiment id and output directory
-//! (experiment binaries arm it in `fj_bench::banner`), then **tripped**
+//! (the `exp` runner arms it for each experiment), then **tripped**
 //! by fault sites. Tripping is once-per-arming: the first trip writes
 //! `flightrec-<exp>.json` and later trips are no-ops, so the dump shows
 //! the *first* failure, not the last. An unarmed trip is a strict no-op —
