@@ -39,7 +39,8 @@ cargo run -q --release -p fj-bench --bin exp -- all
 
 echo "==> fleet throughput smoke (asserts shard-count determinism + dispatch-wait budget)"
 # The ≥2-shard cells run on the persistent worker pool: cumulative
-# dispatch wait (jobs queued behind busy workers) must stay under a
+# dispatch wait (jobs queued behind busy workers), beyond the queueing
+# a run's shard count builds in on this host's pool, must stay under a
 # fixed per-run budget. bench_fleet skips the budget with a note on
 # single-core hosts, where one worker queues shards by construction.
 cargo run -q --release -p fj-bench --bin bench_fleet -- --smoke --json \

@@ -22,6 +22,7 @@ use fj_zoo::{Contributor, ModelEntry, Zoo};
 
 use crate::collect;
 use crate::report::Report;
+use crate::sections::sleeping_month;
 
 /// Extension — modular chassis and the `P_linecard` term (§4.3 names this
 /// as future work; here it is, end to end).
@@ -104,6 +105,15 @@ fn actuate_hot_standby(fleet: &mut Fleet) -> usize {
     converted
 }
 
+/// Actuates fleet-wide hot standby on the standard fleet; returns the
+/// PSUs converted and the fleet wall power before and after, in watts.
+fn measure_hot_standby() -> (usize, f64, f64) {
+    let mut fleet = standard_fleet();
+    let before = fleet.total_wall_power_w();
+    let converted = actuate_hot_standby(&mut fleet);
+    (converted, before, fleet.total_wall_power_w())
+}
+
 /// Extension — hot-standby PSUs (§9.4's proposal, made actionable).
 ///
 /// The paper's §9.3.4 estimate assumes the second PSU can be made
@@ -120,10 +130,7 @@ pub fn ext_hot_standby(r: &mut Report) {
     let estimate = single_psu_savings(&psu_snapshot(&standard_fleet()));
 
     // Then actuate: keep slot 0 carrying, everything else goes standby.
-    let mut fleet = standard_fleet();
-    let before = fleet.total_wall_power_w();
-    let converted = actuate_hot_standby(&mut fleet);
-    let after = fleet.total_wall_power_w();
+    let (converted, before, after) = measure_hot_standby();
     let realised = before - after;
 
     let t = TablePrinter::new(&[34, 14]);
@@ -266,7 +273,8 @@ pub fn ext_parser_quality(r: &mut Report) {
 /// runs the whole horizon (≈87 k polls × 107 routers) and reports what an
 /// operator ultimately pays for: energy. At ≈22 kW the network burns
 /// ≈16 MWh per month-of-30-days; the §8/§9 savings translate to real
-/// megawatt-hours at this horizon.
+/// megawatt-hours at this horizon. Those savings are re-measured here by
+/// the §8 and hot-standby experiments' own code, not quoted.
 pub fn ext_long_horizon(r: &mut Report) {
     r.header("Extension", "10-month horizon with energy accounting");
     let mut fleet = standard_fleet();
@@ -306,8 +314,9 @@ pub fn ext_long_horizon(r: &mut Report) {
     }
 
     println!("\n10-month total: {total_mwh:.0} MWh");
-    let sleeping_low = 103.0; // §8 experiment, seed 7
-    let hot_standby = 694.0; // hot-standby experiment, seed 7
+    let (sleeping_low, _, _) = sleeping_month(&mut standard_fleet());
+    let (_, before, after) = measure_hot_standby();
+    let hot_standby = before - after;
     println!(
         "in context: the §8 link-sleeping low bound (≈{sleeping_low:.0} W) is\n\
          ≈{:.1} MWh over this horizon; fleet-wide hot standby (≈{hot_standby:.0} W)\n\

@@ -421,14 +421,14 @@ pub fn fig5_psu_curve(r: &mut Report) {
     for level in EightyPlus::ALL {
         println!(
             "  {level:<9} {}",
-            if level.certifies(&curve) {
+            if level.certifies(curve) {
                 "pass"
             } else {
                 "fail"
             }
         );
     }
-    let holds = EightyPlus::Platinum.certifies(&curve) && !EightyPlus::Titanium.certifies(&curve);
+    let holds = EightyPlus::Platinum.certifies(curve) && !EightyPlus::Titanium.certifies(curve);
     let claim = "Platinum-rated, short of Titanium";
     println!(
         "\nshape: {} — {claim} (as in the figure)",

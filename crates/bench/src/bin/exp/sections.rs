@@ -8,7 +8,7 @@ use fj_bench::table::{fmt, TablePrinter};
 use fj_bench::{standard_fleet, EXPERIMENT_SEED};
 use fj_core::{builtin_registry, InterfaceClass, InterfaceLoad, PortType, Speed, TransceiverType};
 use fj_hypnos::{algorithm, sleeping_savings, HypnosConfig};
-use fj_isp::FleetInsights;
+use fj_isp::{Fleet, FleetInsights};
 use fj_netpowerbench::{Derivation, DerivationConfig, LabBench};
 use fj_units::{Bytes, DataRate, EnergyPerBit, EnergyPerPacket, SimDuration};
 
@@ -120,6 +120,29 @@ pub fn sec7_insights(r: &mut Report) {
     println!("paper: P_trx,in dominates for the optical transceivers tested");
 }
 
+/// The §8 measurement: Hypnos decides hourly over 28 days on `fleet`,
+/// which advances with it. Returns the mean `(low, high)` savings bounds
+/// in watts and the mean sleep fraction of internal links.
+pub fn sleeping_month(fleet: &mut Fleet) -> (f64, f64, f64) {
+    let config = HypnosConfig::default();
+    let mut low_sum = 0.0;
+    let mut high_sum = 0.0;
+    let mut fraction_sum = 0.0;
+    let rounds = 28 * 24;
+    for _ in 0..rounds {
+        let outcome = algorithm::decide(&algorithm::observe_links(fleet), &config);
+        let savings = sleeping_savings(&outcome);
+        low_sum += savings.low_w;
+        high_sum += savings.high_w;
+        fraction_sum += outcome.sleep_fraction();
+        fleet
+            .advance(SimDuration::from_hours(1))
+            .expect("fleet advances");
+    }
+    let rounds = rounds as f64;
+    (low_sum / rounds, high_sum / rounds, fraction_sum / rounds)
+}
+
 /// §8 — power savings of link sleeping (Hypnos on the fleet traces).
 ///
 /// Hypnos decides hourly over a simulated month; savings are averaged
@@ -130,25 +153,7 @@ pub fn sec7_insights(r: &mut Report) {
 pub fn sec8_link_sleeping(r: &mut Report) {
     r.header("§8", "link-sleeping savings (Hypnos, one month, hourly)");
     let mut fleet = standard_fleet();
-    let config = HypnosConfig::default();
-
-    let mut low_sum = 0.0;
-    let mut high_sum = 0.0;
-    let mut fraction_sum = 0.0;
-    let rounds = 28 * 24;
-    for _ in 0..rounds {
-        let outcome = algorithm::decide(&algorithm::observe_links(&fleet), &config);
-        let savings = sleeping_savings(&outcome);
-        low_sum += savings.low_w;
-        high_sum += savings.high_w;
-        fraction_sum += outcome.sleep_fraction();
-        fleet
-            .advance(SimDuration::from_hours(1))
-            .expect("fleet advances");
-    }
-    let low = low_sum / rounds as f64;
-    let high = high_sum / rounds as f64;
-    let fraction = fraction_sum / rounds as f64;
+    let (low, high, fraction) = sleeping_month(&mut fleet);
     let total = fleet.total_wall_power_w();
 
     let (low_pct, high_pct) = (100.0 * low / total, 100.0 * high / total);

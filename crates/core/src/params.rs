@@ -191,6 +191,33 @@ impl PowerModel {
         })
     }
 
+    /// Total predicted power (Eq. 1) over `(configuration, load)` pairs,
+    /// without building the breakdown: equal bit for bit to
+    /// [`PowerModel::predict`]`(..).total()` on the same pairs, since it
+    /// evaluates the same terms and sums them with the same fold. Every
+    /// pair is consumed, also after an unknown class, so an iterator with
+    /// side effects runs them once per item whatever the outcome.
+    pub fn total_power(
+        &self,
+        pairs: impl IntoIterator<Item = (InterfaceConfig, InterfaceLoad)>,
+    ) -> Result<Watts, ModelError> {
+        let mut unknown = None;
+        let interfaces = pairs
+            .into_iter()
+            .map(|(cfg, load)| match self.lookup(cfg.class) {
+                Some(params) => InterfaceBreakdown::evaluate(&cfg, &load, params).total(),
+                None => {
+                    unknown.get_or_insert(cfg.class);
+                    Watts::ZERO
+                }
+            })
+            .sum::<Watts>();
+        match unknown {
+            Some(class) => Err(ModelError::UnknownClass(class)),
+            None => Ok(self.p_base + interfaces),
+        }
+    }
+
     /// Predicted total when every interface is idle but configured as given
     /// — convenience for static-only queries.
     pub fn predict_static(&self, configs: &[InterfaceConfig]) -> Result<Watts, ModelError> {

@@ -115,6 +115,44 @@ proptest! {
         prop_assert!((b.total() - parts).abs().as_f64() < 1e-9);
     }
 
+    /// The allocation-free total is bit-identical to the breakdown's total
+    /// on random configurations and loads, and fails on the same class.
+    #[test]
+    fn total_power_matches_breakdown_total(
+        classes in prop::collection::vec((arb_class(), arb_params()), 1..4),
+        base in 0.0f64..500.0,
+        ifaces in prop::collection::vec(
+            (0usize..5, 0u8..4, prop_oneof![Just(0.0), 0.0f64..400.0], 64.0f64..9000.0),
+            0..24,
+        ),
+    ) {
+        let mut model = PowerModel::new("m", Watts::new(base));
+        for (class, params) in &classes {
+            // Duplicate draws keep their first parameters.
+            let _ = model.add_class(*class, *params);
+        }
+        // Index 4 (beyond the drawn classes) is a class the model lacks.
+        let unpriced = InterfaceClass::new(PortType::Sfp, TransceiverType::Lr4, Speed::G1);
+        let mut cfgs = Vec::new();
+        let mut loads = Vec::new();
+        for &(which, state, gbps, size) in &ifaces {
+            let class = classes.get(which).map_or(unpriced, |c| c.0);
+            cfgs.push(match state {
+                0 => InterfaceConfig::empty(class),
+                1 => InterfaceConfig::plugged(class),
+                2 => InterfaceConfig::enabled(class),
+                _ => InterfaceConfig::up(class),
+            });
+            loads.push(InterfaceLoad::from_rate(DataRate::from_gbps(gbps), Bytes::new(size)));
+        }
+        let pairs = cfgs.iter().copied().zip(loads.iter().copied());
+        match (model.predict(&cfgs, &loads), model.total_power(pairs)) {
+            (Ok(b), Ok(t)) => prop_assert_eq!(b.total().as_f64().to_bits(), t.as_f64().to_bits()),
+            (Err(a), Err(b)) => prop_assert_eq!(a, b),
+            (a, b) => prop_assert!(false, "predict {:?} vs total_power {:?}", a, b),
+        }
+    }
+
     /// Interface-class strings round-trip through Display/FromStr.
     #[test]
     fn class_display_round_trip(class in arb_class()) {

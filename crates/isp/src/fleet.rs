@@ -59,30 +59,45 @@ impl FleetRouter {
         self.plan.iter().filter(|p| !p.spare)
     }
 
-    /// Advances this router alone by `dt`: refreshes every active
-    /// interface's offered load from its pattern at `now`, then ticks the
-    /// simulator. The per-router unit of [`Fleet::advance`] — routers
-    /// share no simulation state, so shards step them independently and
-    /// the result is identical for any shard count.
+    /// Advances this router alone by `dt`: [`FleetRouter::refresh_loads`]
+    /// at `now`, then ticks the simulator. The per-router unit of
+    /// [`Fleet::advance`] — routers share no simulation state, so shards
+    /// step them independently and the result is identical for any shard
+    /// count.
     pub fn step(
         &mut self,
         now: SimInstant,
         packets: &PacketProfile,
         dt: SimDuration,
     ) -> Result<(), SimError> {
-        for p in &self.plan {
-            if p.spare {
-                continue;
-            }
+        self.refresh_loads(now, packets)?;
+        self.sim.tick(dt);
+        Ok(())
+    }
+
+    /// Sets every active interface's offered load from its pattern at
+    /// `now`, evaluating each pattern once. Returns the same rates summed
+    /// two ways, in bits/s: `(traffic, traffic_contrib)` — the router's
+    /// own total, and its share of the fleet total, where internal links
+    /// count half (they appear at both ends).
+    pub fn refresh_loads(
+        &mut self,
+        now: SimInstant,
+        packets: &PacketProfile,
+    ) -> Result<(f64, f64), SimError> {
+        let (mut traffic, mut traffic_contrib) = (0.0, 0.0);
+        for p in self.plan.iter().filter(|p| !p.spare) {
             let rate = p.pattern.rate(now, p.class.speed.rate());
             let load = InterfaceLoad {
                 bit_rate: rate,
                 pkt_rate: packets.packet_rate(rate),
             };
             self.sim.set_load(p.index, load)?;
+            let r = rate.as_f64();
+            traffic += r;
+            traffic_contrib += if p.external { r } else { r / 2.0 };
         }
-        self.sim.tick(dt);
-        Ok(())
+        Ok((traffic, traffic_contrib))
     }
 
     /// Total capacity over active interfaces.

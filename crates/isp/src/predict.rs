@@ -50,35 +50,41 @@ impl ModelPredictor {
         dt: SimDuration,
     ) -> Option<Watts> {
         let model = self.registry.get(&router.sim.spec().model)?;
-        let mut configs = Vec::new();
-        let mut loads = Vec::new();
-
-        for p in &router.plan {
-            let st = router.sim.interface(p.index).ok()?;
-            let now = Counters {
-                octets: st.octets,
-                packets: st.packets,
-            };
-            let key = (fleet_index, p.index);
-            let prev = self.last.insert(key, now).unwrap_or(now);
-            let d_octets = now.octets.saturating_sub(prev.octets);
-            let d_packets = now.packets.saturating_sub(prev.packets);
-
-            if d_octets == 0 {
+        let secs = dt.as_secs_f64().max(1.0);
+        let last = &mut self.last;
+        let mut lost = false;
+        let active = router
+            .plan
+            .iter()
+            .map_while(|p| {
+                let st = router.sim.interface(p.index).ok();
+                lost |= st.is_none();
+                Some((p, st?))
+            })
+            .filter_map(|(p, st)| {
+                let now = Counters {
+                    octets: st.octets,
+                    packets: st.packets,
+                };
+                let prev = last.insert((fleet_index, p.index), now).unwrap_or(now);
+                let d_octets = now.octets.saturating_sub(prev.octets);
+                let d_packets = now.packets.saturating_sub(prev.packets);
                 // No traffic ⇒ the paper's pipeline treats the interface
                 // as inactive and prices nothing for it — even though a
                 // module may still sit in the cage drawing P_trx,in.
-                continue;
-            }
-            let secs = dt.as_secs_f64().max(1.0);
-            configs.push(InterfaceConfig::up(p.class));
-            loads.push(InterfaceLoad {
-                bit_rate: DataRate::new(d_octets as f64 * 8.0 / secs),
-                pkt_rate: PacketRate::new(d_packets as f64 / secs),
+                (d_octets != 0).then(|| {
+                    let load = InterfaceLoad {
+                        bit_rate: DataRate::new(d_octets as f64 * 8.0 / secs),
+                        pkt_rate: PacketRate::new(d_packets as f64 / secs),
+                    };
+                    (InterfaceConfig::up(p.class), load)
+                })
             });
+        let total = model.total_power(active).ok();
+        if lost {
+            return None;
         }
-
-        model.predict(&configs, &loads).ok().map(|b| b.total())
+        total
     }
 
     /// Captures the counter memory as sorted, serializable entries

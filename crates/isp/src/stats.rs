@@ -137,8 +137,9 @@ impl FleetInsights {
 pub fn psu_snapshot(fleet: &Fleet) -> FleetPsuData {
     let mut observations = Vec::new();
     for router in &fleet.routers {
+        let wall = router.sim.wall_power();
         for slot in 0..router.sim.psu_count() {
-            if let Ok(Some((p_in, p_out))) = router.sim.psu_snapshot(slot) {
+            if let Ok(Some((p_in, p_out))) = router.sim.psu_snapshot_at(slot, wall) {
                 observations.push(PsuObservation {
                     router: router.name.clone(),
                     router_model: router.sim.spec().model.clone(),

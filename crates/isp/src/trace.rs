@@ -516,7 +516,9 @@ fn run_chunk(
             cell.next_event += 1;
         }
 
-        let wall = cell.router.sim.wall_power().as_f64();
+        // One power-model evaluation per round: the meter's truth and
+        // every PSU sensor read below share it.
+        let wall = cell.router.sim.wall_power();
 
         // The poll span covers the PSU sensor read plus the fault draw —
         // the simulated counterpart of the poller's round trip. It is
@@ -525,7 +527,7 @@ fn run_chunk(
         let mut reported = 0.0;
         let mut reports = false;
         for slot in 0..cell.router.sim.psu_count() {
-            if let Ok(Some(p)) = cell.router.sim.psu_reported_power(slot) {
+            if let Ok(Some(p)) = cell.router.sim.psu_reported_power_at(slot, wall) {
                 reported += p.as_f64();
                 reports = true;
             }
@@ -568,16 +570,11 @@ fn run_chunk(
             out.spans.push(round, frame_span.finish(t, &ctx.epoch));
         }
 
-        // One pattern evaluation feeds both the router's own traffic
-        // series (full rate) and its share of the fleet total (internal
-        // links halved — they appear at both ends).
-        let mut traffic = 0.0;
-        let mut traffic_contrib = 0.0;
-        for p in cell.router.plan.iter().filter(|p| !p.spare) {
-            let r = p.pattern.rate(t, p.class.speed.rate()).as_f64();
-            traffic += r;
-            traffic_contrib += if p.external { r } else { r / 2.0 };
-        }
+        // One pattern evaluation sets the loads the tick below carries
+        // and feeds both traffic series. Setting them before the
+        // prediction is exact: the predictor reads only the octet and
+        // packet counters, which only the tick moves.
+        let (traffic, traffic_contrib) = cell.router.refresh_loads(t, &ctx.packets)?;
 
         let predict_span = StageSpan::begin("predict", t, &ctx.epoch);
         let predicted = cell
@@ -587,7 +584,7 @@ fn run_chunk(
         out.spans.push(round, predict_span.finish(t, &ctx.epoch));
 
         out.records.push(RoundRecord {
-            wall,
+            wall: wall.as_f64(),
             snmp,
             wall_read,
             traffic,
@@ -597,7 +594,7 @@ fn run_chunk(
         });
 
         let step_span = StageSpan::begin("router_step", t, &ctx.epoch);
-        cell.router.step(t, &ctx.packets, ctx.step)?;
+        cell.router.sim.tick(ctx.step);
         out.spans
             .push(round, step_span.finish(t + ctx.step, &ctx.epoch));
     }

@@ -1,5 +1,7 @@
 //! Piecewise-linear PSU efficiency curves.
 
+use std::sync::LazyLock;
+
 use fj_units::Watts;
 use serde::{Deserialize, Serialize};
 
@@ -35,25 +37,36 @@ impl EfficiencyCurve {
 
     /// Efficiency at `load` (fraction of capacity), clamped as documented.
     pub fn efficiency_at(&self, load: f64) -> f64 {
-        let eff = self.raw_at(load);
-        eff.clamp(0.01, 1.0)
+        self.efficiency_at_offset(load, 0.0)
     }
 
-    fn raw_at(&self, load: f64) -> f64 {
+    /// Efficiency at `load` of this curve shifted by `offset` — equal bit
+    /// for bit to `self.with_offset(offset).efficiency_at(load)`, without
+    /// building the shifted curve.
+    pub fn efficiency_at_offset(&self, load: f64, offset: f64) -> f64 {
+        self.raw_at(load, offset).clamp(0.01, 1.0)
+    }
+
+    /// The unclamped interpolation. The offset is added to the two
+    /// bracketing anchors *before* interpolating, exactly as
+    /// [`EfficiencyCurve::with_offset`] stores them, so shifted queries
+    /// round identically to queries on a shifted copy.
+    fn raw_at(&self, load: f64, offset: f64) -> f64 {
         let pts = &self.points;
         if load <= pts[0].0 {
-            return pts[0].1;
+            return pts[0].1 + offset;
         }
         for w in pts.windows(2) {
             let (l0, e0) = w[0];
             let (l1, e1) = w[1];
             if load <= l1 {
+                let (e0, e1) = (e0 + offset, e1 + offset);
                 let f = (load - l0) / (l1 - l0);
                 return e0 + f * (e1 - e0);
             }
         }
         // Past the last anchor (including NaN loads): flat extrapolation.
-        pts[pts.len() - 1].1
+        pts[pts.len() - 1].1 + offset
     }
 
     /// A copy of this curve with a constant efficiency offset — the paper's
@@ -69,7 +82,7 @@ impl EfficiencyCurve {
     /// Combine with [`EfficiencyCurve::with_offset`] to anchor the PFE600
     /// shape to one observed data point.
     pub fn offset_through(&self, load: f64, efficiency: f64) -> f64 {
-        efficiency - self.raw_at(load)
+        efficiency - self.raw_at(load, 0.0)
     }
 
     /// Input power needed to deliver `p_out` from a PSU of `capacity`.
@@ -94,7 +107,15 @@ impl EfficiencyCurve {
 /// low-load tail is kept shallow: the Table 4 arithmetic of the paper
 /// (over-sizing costs only ≈1 %) implies the effective curve barely
 /// collapses below 10 %, so we digitise it accordingly.
-pub fn pfe600_curve() -> EfficiencyCurve {
+///
+/// Built once per process; every PSU evaluation shares the one curve and
+/// applies its unit offset with [`EfficiencyCurve::efficiency_at_offset`].
+/// Clone it where an owned curve is the product.
+pub fn pfe600_curve() -> &'static EfficiencyCurve {
+    &PFE600
+}
+
+static PFE600: LazyLock<EfficiencyCurve> = LazyLock::new(|| {
     EfficiencyCurve::new(vec![
         (0.02, 0.82),
         (0.05, 0.85),
@@ -110,7 +131,7 @@ pub fn pfe600_curve() -> EfficiencyCurve {
         (0.90, 0.931),
         (1.00, 0.925),
     ])
-}
+});
 
 #[cfg(test)]
 mod tests {
@@ -185,6 +206,6 @@ mod tests {
         let c = pfe600_curve();
         let json = serde_json::to_string(&c).unwrap();
         let back: EfficiencyCurve = serde_json::from_str(&json).unwrap();
-        assert_eq!(c, back);
+        assert_eq!(*c, back);
     }
 }

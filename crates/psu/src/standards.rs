@@ -125,10 +125,10 @@ mod tests {
         // Fig. 5: the PFE600 is Platinum-rated; Titanium's 10 % point
         // (90 %) is above the PFE600's ~82.5 % there.
         let c = pfe600_curve();
-        assert!(EightyPlus::Platinum.certifies(&c));
-        assert!(EightyPlus::Gold.certifies(&c));
-        assert!(EightyPlus::Bronze.certifies(&c));
-        assert!(!EightyPlus::Titanium.certifies(&c));
+        assert!(EightyPlus::Platinum.certifies(c));
+        assert!(EightyPlus::Gold.certifies(c));
+        assert!(EightyPlus::Bronze.certifies(c));
+        assert!(!EightyPlus::Titanium.certifies(c));
     }
 
     #[test]

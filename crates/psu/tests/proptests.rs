@@ -133,3 +133,27 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// A shifted query is bit-identical to a query on the shifted copy,
+    /// below, inside and above the anchors and for NaN loads. Rounding
+    /// differences are rare, hence the many cases.
+    #[test]
+    fn efficiency_at_offset_matches_shifted_copy(
+        load in prop_oneof![
+            -1.0f64..0.02,
+            0.02f64..1.0,
+            1.0f64..3.0,
+            prop::sample::select(vec![0.02, 0.1, 0.6, 1.0, f64::NAN]),
+        ],
+        offset in -0.2f64..0.2,
+    ) {
+        let base = pfe600_curve();
+        prop_assert_eq!(
+            base.efficiency_at_offset(load, offset).to_bits(),
+            base.with_offset(offset).efficiency_at(load).to_bits()
+        );
+    }
+}

@@ -171,9 +171,9 @@ impl ModularRouter {
             .as_f64();
         let share = dc / self.psu_count as f64;
         let load = share / self.psu_capacity_w;
-        let base = pfe600_curve();
-        let typical = base.efficiency_at(load);
-        let actual = base.with_offset(self.psu_eff_offset).efficiency_at(load);
+        let curve = pfe600_curve();
+        let typical = curve.efficiency_at(load);
+        let actual = curve.efficiency_at_offset(load, self.psu_eff_offset);
         Watts::new(dc / (actual / typical))
     }
 }

@@ -399,41 +399,37 @@ impl SimulatedRouter {
     // Power physics
     // ------------------------------------------------------------------
 
-    /// The interface configurations currently priced by the truth model
-    /// (cages with a module; empty cages contribute nothing).
-    fn truth_configs(&self) -> (Vec<InterfaceConfig>, Vec<InterfaceLoad>) {
-        let mut cfgs = Vec::new();
-        let mut loads = Vec::new();
-        for (i, st) in self.interfaces.iter().enumerate() {
-            let Some(trx) = st.transceiver else { continue };
-            let class = fj_core::InterfaceClass::new(self.spec.ports[i].port, trx, st.speed);
-            cfgs.push(InterfaceConfig {
-                class,
-                plugged: true,
-                admin_up: st.admin_up,
-                oper_up: st.oper_up,
-            });
-            loads.push(if st.oper_up {
-                st.load
-            } else {
-                InterfaceLoad::IDLE
-            });
-        }
-        (cfgs, loads)
-    }
-
     /// Ground-truth wall power under a *nominal* PSU (what the published
-    /// model describes), before unit-to-unit PSU deviations.
+    /// model describes), before unit-to-unit PSU deviations. Cages with a
+    /// module are priced by the truth model; empty cages contribute
+    /// nothing.
     pub fn nominal_power(&self) -> Watts {
-        let (cfgs, loads) = self.truth_configs();
+        let priced = self
+            .interfaces
+            .iter()
+            .zip(&self.spec.ports)
+            .filter_map(|(st, slot)| {
+                let trx = st.transceiver?;
+                let cfg = InterfaceConfig {
+                    class: fj_core::InterfaceClass::new(slot.port, trx, st.speed),
+                    plugged: true,
+                    admin_up: st.admin_up,
+                    oper_up: st.oper_up,
+                };
+                let load = if st.oper_up {
+                    st.load
+                } else {
+                    InterfaceLoad::IDLE
+                };
+                Some((cfg, load))
+            });
         let p = self
             .spec
             .truth
-            .predict(&cfgs, &loads)
+            .total_power(priced)
             // fj-lint: allow(FJ02) — plug() rejects classes the truth model
             // does not price, so prediction over plugged state cannot miss.
-            .expect("plug() guarantees every class is priced")
-            .total();
+            .expect("plug() guarantees every class is priced");
         p + self.extra_power
     }
 
@@ -446,20 +442,15 @@ impl SimulatedRouter {
     /// from the model-typical efficiency by their own offset, producing
     /// the few-watt unit-to-unit differences behind the Fig. 4 offsets.
     pub fn wall_power(&self) -> Watts {
-        let carriers: Vec<&PsuState> = self
-            .psus
-            .iter()
-            .filter(|p| p.enabled && !p.hot_standby)
-            .collect();
-        if carriers.is_empty() {
+        let (carriers, standby) = self.psu_roles();
+        if carriers == 0 {
             return Watts::ZERO;
         }
         // Convert the wall-referenced truth to DC once, at the reference
         // condition under which models are derived: all installed PSUs
         // sharing equally, each at the model-typical efficiency.
         let nominal = self.nominal_power().as_f64();
-        let base_curve = pfe600_curve();
-        let typical_curve = base_curve.with_offset(self.spec.psu_eff_offset_mean);
+        let curve = pfe600_curve();
         // Fixed point: dc = nominal · eff(dc-share load). The load that
         // matters for the curve is the DC output share; a couple of
         // iterations converge far below the meter's noise floor.
@@ -467,26 +458,20 @@ impl SimulatedRouter {
         let mut dc_total = nominal * 0.9;
         for _ in 0..4 {
             let load = dc_total / slots / self.spec.psu_capacity_w;
-            dc_total = nominal * typical_curve.efficiency_at(load);
+            dc_total = nominal * curve.efficiency_at_offset(load, self.spec.psu_eff_offset_mean);
         }
 
         // Push the DC demand through the *actual* units at the *actual*
         // load split — this is where unit-to-unit deviations and load
         // concentration (hot standby, failed PSUs) show up at the wall.
-        let dc_share = dc_total / carriers.len() as f64;
+        let dc_share = dc_total / carriers as f64;
         let mut wall = 0.0;
-        for psu in carriers {
+        for psu in self.psus.iter().filter(|p| p.enabled && !p.hot_standby) {
             let load = dc_share / psu.capacity_w;
-            let actual_eff = base_curve.with_offset(psu.eff_offset).efficiency_at(load);
-            wall += dc_share / actual_eff;
+            wall += dc_share / curve.efficiency_at_offset(load, psu.eff_offset);
         }
         // Hot-standby supplies idle online: a small housekeeping draw.
-        let standby_count = self
-            .psus
-            .iter()
-            .filter(|p| p.enabled && p.hot_standby)
-            .count();
-        wall += HOT_STANDBY_HOUSEKEEPING_W * standby_count as f64;
+        wall += HOT_STANDBY_HOUSEKEEPING_W * standby as f64;
         Watts::new(wall)
     }
 
@@ -501,6 +486,17 @@ impl SimulatedRouter {
     /// the model's sensor pathology. `None` when the router does not
     /// export power or the bay is disabled.
     pub fn psu_reported_power(&mut self, slot: usize) -> Result<Option<Watts>, SimError> {
+        self.psu_reported_power_at(slot, self.wall_power())
+    }
+
+    /// [`SimulatedRouter::psu_reported_power`] at a precomputed
+    /// `wall` (this router's [`SimulatedRouter::wall_power`] now), so a
+    /// caller reading several bays evaluates the power model once.
+    pub fn psu_reported_power_at(
+        &mut self,
+        slot: usize,
+        wall: Watts,
+    ) -> Result<Option<Watts>, SimError> {
         if slot >= self.psus.len() {
             return Err(SimError::NoSuchPsu(slot));
         }
@@ -510,19 +506,7 @@ impl SimulatedRouter {
         if self.psus[slot].hot_standby {
             return Ok(Some(Watts::new(HOT_STANDBY_HOUSEKEEPING_W)));
         }
-        let carriers = self
-            .psus
-            .iter()
-            .filter(|p| p.enabled && !p.hot_standby)
-            .count();
-        let true_share = (self.wall_power().as_f64()
-            - HOT_STANDBY_HOUSEKEEPING_W
-                * self
-                    .psus
-                    .iter()
-                    .filter(|p| p.enabled && p.hot_standby)
-                    .count() as f64)
-            / carriers as f64;
+        let true_share = self.carrier_input_share(wall);
         let noise = 0.2
             * gauss(
                 self.seed ^ 0x5E45_0000,
@@ -540,6 +524,16 @@ impl SimulatedRouter {
     /// the physically impossible `P_out > P_in` seen in the dataset (§9.2).
     /// Available even on models that do not export power via SNMP.
     pub fn psu_snapshot(&self, slot: usize) -> Result<Option<(f64, f64)>, SimError> {
+        self.psu_snapshot_at(slot, self.wall_power())
+    }
+
+    /// [`SimulatedRouter::psu_snapshot`] at a precomputed `wall` (this
+    /// router's [`SimulatedRouter::wall_power`] now).
+    pub fn psu_snapshot_at(
+        &self,
+        slot: usize,
+        wall: Watts,
+    ) -> Result<Option<(f64, f64)>, SimError> {
         let psu = self.psus.get(slot).ok_or(SimError::NoSuchPsu(slot))?;
         if !psu.enabled {
             return Ok(None);
@@ -547,22 +541,9 @@ impl SimulatedRouter {
         if psu.hot_standby {
             return Ok(Some((HOT_STANDBY_HOUSEKEEPING_W, 0.0)));
         }
-        let carriers = self
-            .psus
-            .iter()
-            .filter(|p| p.enabled && !p.hot_standby)
-            .count();
-        let standby = self
-            .psus
-            .iter()
-            .filter(|p| p.enabled && p.hot_standby)
-            .count();
-        let p_in = (self.wall_power().as_f64() - HOT_STANDBY_HOUSEKEEPING_W * standby as f64)
-            / carriers as f64;
+        let p_in = self.carrier_input_share(wall);
         let load = p_in / psu.capacity_w;
-        let actual_eff = pfe600_curve()
-            .with_offset(psu.eff_offset)
-            .efficiency_at(load);
+        let actual_eff = pfe600_curve().efficiency_at_offset(load, psu.eff_offset);
         let p_out = p_in * actual_eff;
         // Sensor-quality noise: ±1.5 % per channel, independent.
         let idx = (self.now.as_secs() as u64).wrapping_add((slot as u64) << 32);
@@ -574,6 +555,24 @@ impl SimulatedRouter {
     // ------------------------------------------------------------------
     // Internals
     // ------------------------------------------------------------------
+
+    /// `(load-carrying, hot-standby)` counts over the enabled PSU bays.
+    fn psu_roles(&self) -> (usize, usize) {
+        let standby = self
+            .psus
+            .iter()
+            .filter(|p| p.enabled && p.hot_standby)
+            .count();
+        let enabled = self.psus.iter().filter(|p| p.enabled).count();
+        (enabled - standby, standby)
+    }
+
+    /// Each load-carrying bay's share of `wall`: what remains after the
+    /// hot-standby housekeeping draw, split equally.
+    fn carrier_input_share(&self, wall: Watts) -> f64 {
+        let (carriers, standby) = self.psu_roles();
+        (wall.as_f64() - HOT_STANDBY_HOUSEKEEPING_W * standby as f64) / carriers as f64
+    }
 
     fn link_ready(&self, i: usize) -> bool {
         let st = &self.interfaces[i];

@@ -1,12 +1,22 @@
 //! Property-based tests for the router simulator's physical invariants.
 
-use fj_core::{InterfaceLoad, Speed, TransceiverType};
+use fj_core::{InterfaceClass, InterfaceConfig, InterfaceLoad, Speed, TransceiverType};
 use fj_router_sim::{RouterSpec, SimulatedRouter};
-use fj_units::{Bytes, DataRate, SimDuration};
+use fj_units::{Bytes, DataRate, SimDuration, Watts};
 use proptest::prelude::*;
 
 fn arb_model() -> impl Strategy<Value = String> {
     prop::sample::select(RouterSpec::builtin_names())
+}
+
+/// The first class the truth model prices that fits cage `i`.
+fn priced_class(spec: &RouterSpec, i: usize) -> Option<InterfaceClass> {
+    let slot = &spec.ports[i];
+    spec.truth
+        .classes()
+        .iter()
+        .map(|cp| cp.class)
+        .find(|c| c.port == slot.port && slot.speeds.contains(&c.speed))
 }
 
 /// Plugs the first `n` ports with whatever class the truth model prices.
@@ -14,14 +24,7 @@ fn populate(router: &mut SimulatedRouter, n: usize) -> Vec<usize> {
     let spec = router.spec().clone();
     let mut plugged = Vec::new();
     for i in 0..n.min(spec.port_count()) {
-        let port = spec.ports[i].port;
-        let candidate = spec
-            .truth
-            .classes()
-            .iter()
-            .map(|cp| cp.class)
-            .find(|c| c.port == port && spec.ports[i].speeds.contains(&c.speed));
-        if let Some(class) = candidate {
+        if let Some(class) = priced_class(&spec, i) {
             if router.plug(i, class.transceiver, class.speed).is_ok() {
                 plugged.push(i);
             }
@@ -30,7 +33,145 @@ fn populate(router: &mut SimulatedRouter, n: usize) -> Vec<usize> {
     plugged
 }
 
+/// The nominal power as the simulator priced it before its allocation-
+/// free total: collect every plugged cage's configuration and load, run
+/// the full breakdown, take its total. `extra` is the unmodeled draw the
+/// test added.
+fn nominal_power_oracle(router: &SimulatedRouter, extra: Watts) -> Watts {
+    let spec = router.spec();
+    let mut cfgs = Vec::new();
+    let mut loads = Vec::new();
+    for i in 0..router.interface_count() {
+        let st = router.interface(i).unwrap();
+        let Some(trx) = st.transceiver else { continue };
+        cfgs.push(InterfaceConfig {
+            class: InterfaceClass::new(spec.ports[i].port, trx, st.speed),
+            plugged: true,
+            admin_up: st.admin_up,
+            oper_up: st.oper_up,
+        });
+        loads.push(if st.oper_up {
+            st.load
+        } else {
+            InterfaceLoad::IDLE
+        });
+    }
+    spec.truth.predict(&cfgs, &loads).unwrap().total() + extra
+}
+
+/// One configuration or traffic change on a random interface.
+#[derive(Debug, Clone)]
+enum Op {
+    Plug(usize),
+    Unplug(usize),
+    Admin(usize, bool),
+    Peer(usize, bool),
+    Cable(usize, usize),
+    Load(usize, f64),
+    Draw(f64),
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (0usize..64).prop_map(Op::Plug),
+        (0usize..64).prop_map(Op::Unplug),
+        (0usize..64, any::<bool>()).prop_map(|(i, up)| Op::Admin(i, up)),
+        (0usize..64, any::<bool>()).prop_map(|(i, up)| Op::Peer(i, up)),
+        (0usize..64, 0usize..64).prop_map(|(a, b)| Op::Cable(a, b)),
+        (0usize..64, prop_oneof![Just(0.0), 0.0f64..400.0]).prop_map(|(i, g)| Op::Load(i, g)),
+        (-50.0f64..50.0).prop_map(Op::Draw),
+    ]
+}
+
+/// Applies `op` (invalid ones are refused by the simulator and ignored),
+/// tracking the unmodeled draw it adds.
+fn apply(router: &mut SimulatedRouter, op: &Op, extra: &mut Watts) {
+    let n = router.interface_count();
+    let _ = match *op {
+        Op::Plug(i) => match priced_class(router.spec(), i % n) {
+            Some(c) => router.plug(i % n, c.transceiver, c.speed),
+            None => Ok(()),
+        },
+        Op::Unplug(i) => router.unplug(i % n).map(|_| ()),
+        Op::Admin(i, up) => router.set_admin(i % n, up),
+        Op::Peer(i, up) => router.set_external_peer(i % n, up),
+        Op::Cable(a, b) => router.cable(a % n, b % n),
+        Op::Load(i, gbps) => router.set_load(
+            i % n,
+            InterfaceLoad::from_rate(DataRate::from_gbps(gbps), Bytes::new(800.0)),
+        ),
+        Op::Draw(w) => {
+            router.add_unmodeled_draw(Watts::new(w));
+            *extra += Watts::new(w);
+            Ok(())
+        }
+    };
+}
+
 proptest! {
+    /// The allocation-free nominal power is bit-identical to the
+    /// breakdown path on random plug/unplug/admin/cabling/load sequences.
+    #[test]
+    fn nominal_power_matches_breakdown_oracle(
+        model in arb_model(),
+        ops in prop::collection::vec(arb_op(), 0..40),
+    ) {
+        let mut router = SimulatedRouter::new(RouterSpec::builtin(&model).unwrap(), 3);
+        let mut extra = Watts::ZERO;
+        for op in &ops {
+            apply(&mut router, op, &mut extra);
+            prop_assert_eq!(
+                router.nominal_power().as_f64().to_bits(),
+                nominal_power_oracle(&router, extra).as_f64().to_bits(),
+                "{} after {:?}", model, op
+            );
+        }
+    }
+
+    /// Reading a bay at a precomputed wall power is bit-identical to the
+    /// self-contained read, for every bay — carrying, hot-standby and
+    /// disabled — and over time as pseudo-constant sensors latch.
+    #[test]
+    fn psu_reads_at_wall_match_self_contained_reads(
+        model in arb_model(),
+        seed in 0u64..100,
+        roles in prop::collection::vec(0u8..3, 4),
+        ops in prop::collection::vec(arb_op(), 0..12),
+    ) {
+        let mut at = SimulatedRouter::new(RouterSpec::builtin(&model).unwrap(), seed);
+        let mut extra = Watts::ZERO;
+        populate(&mut at, 6);
+        for op in &ops {
+            apply(&mut at, op, &mut extra);
+        }
+        for (slot, role) in roles.iter().enumerate().take(at.psu_count()) {
+            let _ = match role {
+                0 => Ok(()),
+                1 => at.set_psu_hot_standby(slot, true),
+                _ => at.set_psu_enabled(slot, false),
+            };
+        }
+        let mut plain = at.clone();
+        let bits = |w: Watts| w.as_f64().to_bits();
+        let pair_bits = |p: (f64, f64)| (p.0.to_bits(), p.1.to_bits());
+        for _ in 0..4 {
+            let wall = at.wall_power();
+            // One past the last bay checks the error path too.
+            for slot in 0..=at.psu_count() {
+                prop_assert_eq!(
+                    at.psu_reported_power_at(slot, wall).map(|r| r.map(bits)),
+                    plain.psu_reported_power(slot).map(|r| r.map(bits))
+                );
+                prop_assert_eq!(
+                    at.psu_snapshot_at(slot, wall).map(|r| r.map(pair_bits)),
+                    plain.psu_snapshot(slot).map(|r| r.map(pair_bits))
+                );
+            }
+            at.tick(SimDuration::from_mins(5));
+            plain.tick(SimDuration::from_mins(5));
+        }
+    }
+
     /// Wall power is strictly positive and finite for any built-in model
     /// and any seed.
     #[test]

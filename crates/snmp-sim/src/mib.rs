@@ -195,8 +195,10 @@ pub fn snapshot(router: &mut SimulatedRouter) -> MibTree {
         );
     }
 
+    // One power-model evaluation serves every PSU row below.
+    let wall = router.wall_power();
     for slot in 0..router.psu_count() {
-        if let Ok(Some(power)) = router.psu_reported_power(slot) {
+        if let Ok(Some(power)) = router.psu_reported_power_at(slot, wall) {
             tree.set(
                 oids::psu_in_power().child(slot as u32 + 1),
                 MibValue::Gauge(power.as_f64()),
@@ -205,7 +207,7 @@ pub fn snapshot(router: &mut SimulatedRouter) -> MibTree {
             // pollers can track conversion efficiency continuously —
             // instead of the one-time sensor snapshot the paper had to
             // settle for (§9.2).
-            if let Ok(Some((_, p_out))) = router.psu_snapshot(slot) {
+            if let Ok(Some((_, p_out))) = router.psu_snapshot_at(slot, wall) {
                 tree.set(
                     oids::psu_out_power().child(slot as u32 + 1),
                     MibValue::Gauge(p_out),
