@@ -37,40 +37,35 @@ cargo run -q --release -p fj-bench --bin alert_smoke
 echo "==> paper fidelity (every experiment runs; verdicts must match the expected drift set)"
 cargo run -q --release -p fj-bench --bin exp -- all
 
-echo "==> fleet throughput smoke (asserts shard-count determinism + dispatch-wait budget)"
-# The ≥2-shard cells run on the persistent worker pool: cumulative
-# dispatch wait (jobs queued behind busy workers), beyond the queueing
-# a run's shard count builds in on this host's pool, must stay under a
-# fixed per-run budget. bench_fleet skips the budget with a note on
-# single-core hosts, where one worker queues shards by construction.
-cargo run -q --release -p fj-bench --bin bench_fleet -- --smoke --json \
-    --max-dispatch-wait-secs 0.25 \
-    --out target/telemetry/BENCH_fleet.json \
+echo "==> fleet throughput smoke (asserts shard-count determinism, writes a Perfetto trace)"
+cargo run -q --release -p fj-bench --bin bench_fleet -- --smoke \
     --trace target/telemetry/trace-fleet.json
 
-echo "==> efficiency report (profiler + progress plane must have produced output)"
-grep -q '"efficiency"' target/telemetry/BENCH_fleet.json \
-    || { echo "BENCH_fleet.json carries no parallel-efficiency report" >&2; exit 1; }
-grep -q '"generated_by"' target/telemetry/BENCH_fleet.json \
-    || { echo "BENCH_fleet.json carries no generated_by provenance" >&2; exit 1; }
+echo "==> progress report (the live progress plane must have written its snapshot)"
 test -s target/telemetry/progress-bench_fleet.json \
     || { echo "progress-bench_fleet.json missing or empty" >&2; exit 1; }
-
-echo "==> perf gate (fresh smoke sweep vs committed BENCH_fleet.json)"
-cargo run -q --release -p fj-bench --bin bench_compare
 
 echo "==> crash-recovery smoke (kill mid-run, resume, diff vs uninterrupted)"
 cargo run -q --release -p fj-bench --bin fleet_recover -- \
     --dir target/telemetry/recovery
 
-echo "==> repository benchmark output checks (pinned digests, invariants, bit-identical replay)"
+echo "==> perf gate (repository benchmark medians vs committed BENCH_perf.json)"
 # Every perfbench run checks the engine's outputs and exits non-zero on
-# a pinned-digest mismatch or a failed invariant; the traced runs also
-# replay the engine layer by layer and fail unless the replay equals the
-# engine's trace bit for bit.
-cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --workload all --seconds 1
-cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --workload census --trace 1
-cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --workload switch_ops --trace 1
+# a pinned-digest mismatch (seed 1) or a failed invariant; the traced
+# runs also replay the engine layer by layer and fail unless the replay
+# equals the engine's trace bit for bit. perf_gate then holds the medians
+# of the five timed seeds to BENCHMARK.json's bounds, and the traced
+# switch_ops dispatch wait and parallel efficiency and census merge cost
+# to their own, against the committed BENCH_perf.json. To re-baseline
+# after an intended change, copy target/perf/BENCH_perf.json to the root.
+rm -rf target/perf && mkdir -p target/perf
+perfbench=(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml --)
+for seed in 1 2 3 4 5; do
+    "${perfbench[@]}" --workload all --seconds 5 --seed "$seed" | tee "target/perf/all-seed$seed.out"
+done
+"${perfbench[@]}" --workload census --trace 1 | tee target/perf/census-trace.out
+"${perfbench[@]}" --workload switch_ops --trace 1 | tee target/perf/switch_ops-trace.out
+cargo run -q --release -p fj-bench --bin perf_gate -- target/perf/*.out
 
 if [[ "${CI_SOAK:-0}" == "1" ]]; then
     echo "==> chaos soak (full)"

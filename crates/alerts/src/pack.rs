@@ -7,9 +7,10 @@
 //!
 //! Thresholds are chosen so a healthy deterministic run stays silent:
 //! the gap-rate and prediction-error budgets tolerate the background
-//! fault rates the chaos scenarios inject, the dispatch-wait budget
-//! matches the `bench_fleet --max-dispatch-wait-secs` CI gate, and the
-//! stall horizon is a full sim day of chunk boundaries.
+//! fault rates the chaos scenarios inject, the dispatch-wait budget is
+//! the ceiling of the `perf_gate` CI bound on the benchmark's switch_ops
+//! `par.dispatch_wait_s`, and the stall horizon is a full sim day of
+//! chunk boundaries.
 
 use fj_units::SimDuration;
 
@@ -27,8 +28,9 @@ pub const PREDICTION_BUDGET: f64 = 0.05;
 /// pace.
 pub const BURN_FACTOR: f64 = 2.0;
 
-/// Cumulative pool dispatch wait tolerated per run, matching the
-/// `bench_fleet` CI budget.
+/// Cumulative pool dispatch wait tolerated per run: this rule pack's
+/// budget, and the ceiling of the bound `perf_gate` puts on the
+/// benchmark's switch_ops `par.dispatch_wait_s`.
 pub const DISPATCH_WAIT_BUDGET_SECS: f64 = 0.25;
 
 /// The default rule pack evaluated by fleet runs, every `exp`

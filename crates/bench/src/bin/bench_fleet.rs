@@ -2,81 +2,57 @@
 //!
 //! Times [`fj_isp::trace::collect_streaming`] — the engine's one entry
 //! point, which runs every chunk through one `fj_par::WorkerPool` — over
-//! a routers × horizon sweep at 1/2/4/8 shards, reporting router-rounds
-//! per second and the speedup over the single-shard run (whose pool has
-//! no threads and simulates inline). Every parallel trace is compared
-//! against the sequential one — the determinism contract means the
-//! numbers may *only* differ in wall-clock time, and this bench asserts
-//! it on every cell. The sweep itself lives in
-//! [`fj_bench::fleetbench`], shared with the `bench_compare` perf gate.
+//! the small, census (1k) and census10k fleets at 1/2/4/8 shards,
+//! printing router-rounds per second, the speedup over the single-shard
+//! run (whose pool has no threads and simulates inline), the measured
+//! peak resident set, and the run profiler's efficiency and merge share.
+//! Every parallel trace is compared against the cell's first run — the
+//! determinism contract means the numbers may *only* differ in wall-clock
+//! time, and this bench asserts it on every cell. It prints and gates
+//! nothing else: the perf-regression gate is `perf_gate` over the
+//! repository benchmark.
 //!
 //! Flags (hand-rolled, no CLI dependency):
 //!
-//! * `--smoke` — one tiny configuration at 1/2 shards, for CI;
-//! * `--json` — also write the report JSON (see `--out`);
-//! * `--out PATH` — where `--json` writes (default: `BENCH_fleet.json`
-//!   at the repository root, the committed baseline the perf gate
-//!   diffs against);
+//! * `--smoke` — the small fleet at 1/2 shards (whole-horizon and
+//!   chunked) and the census fleet at 1/2/4 shards, for CI;
 //! * `--trace PATH` — run one extra 4-shard traced smoke collection and
 //!   write its Perfetto `trace_event` JSON to PATH, printing the
-//!   self-time profile table;
-//! * `--max-dispatch-wait-secs F` — fail (exit 1) if any profiled
-//!   ≥ 2-shard run spent more than F seconds of cumulative pool
-//!   dispatch wait (jobs queued behind busy workers) beyond the queueing
-//!   its shard count builds in on this host: with more shards than pool
-//!   workers, each shard waits behind the earlier shards of its worker,
-//!   one mean per-shard busy time apiece. Skipped with a printed note on
-//!   single-core hosts, where the pool's one worker makes queueing wait
-//!   unavoidable by construction.
+//!   self-time profile table.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use fj_bench::fleetbench::{run_sweep, version_string};
+use fj_bench::table::{fmt, TablePrinter};
 use fj_bench::EXPERIMENT_SEED;
 use fj_faults::FaultPlan;
 use fj_isp::trace::{collect_streaming, StreamConfig};
-use fj_isp::{build_fleet, FleetConfig};
-use fj_telemetry::Telemetry;
+use fj_isp::{build_fleet, FleetConfig, FleetTrace, ParallelEfficiencyReport};
+use fj_router_sim::SimError;
+use fj_telemetry::{Telemetry, WallEpoch};
 use fj_units::{SimDuration, SimInstant};
 
 struct Args {
-    json: bool,
     smoke: bool,
-    out: Option<PathBuf>,
     trace: Option<PathBuf>,
-    max_dispatch_wait_secs: Option<f64>,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        json: false,
         smoke: false,
-        out: None,
         trace: None,
-        max_dispatch_wait_secs: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--json" => args.json = true,
             "--smoke" => args.smoke = true,
-            "--out" => match it.next() {
-                Some(p) => args.out = Some(PathBuf::from(p)),
-                None => return Err("--out needs a path".to_owned()),
-            },
             "--trace" => match it.next() {
                 Some(p) => args.trace = Some(PathBuf::from(p)),
                 None => return Err("--trace needs a path".to_owned()),
             },
-            "--max-dispatch-wait-secs" => match it.next().map(|v| v.parse::<f64>()) {
-                Some(Ok(f)) if f > 0.0 => args.max_dispatch_wait_secs = Some(f),
-                _ => return Err("--max-dispatch-wait-secs needs a positive number".to_owned()),
-            },
             other => {
                 return Err(format!(
-                    "unknown flag {other} (known: --json --smoke --out PATH --trace PATH \
-                     --max-dispatch-wait-secs F)"
+                    "unknown flag {other} (known: --smoke --trace PATH)"
                 ))
             }
         }
@@ -84,54 +60,156 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// The dispatch wait a profiled run queues by construction: its `shards`
-/// round-robin onto `workers` pool threads, so a shard waits behind every
-/// earlier shard of the same worker. That is one wait per pair of shards
-/// sharing a worker, each about the run's mean per-shard busy time.
-fn built_in_queueing_secs(
-    shards: usize,
-    workers: usize,
-    eff: &fj_isp::ParallelEfficiencyReport,
-) -> f64 {
-    let workers = workers.max(1);
-    let pairs: usize = (0..workers)
-        .map(|w| {
-            let on_worker = shards.saturating_sub(w).div_ceil(workers);
-            on_worker * on_worker.saturating_sub(1) / 2
-        })
-        .sum();
-    pairs as f64 * eff.busy_secs / eff.shards.max(1) as f64
+/// One sweep cell: a fleet size, a horizon, and a chunk size.
+struct Config {
+    label: &'static str,
+    fleet: FleetConfig,
+    days: u64,
+    chunk_rounds: u64,
+    shards: &'static [usize],
 }
 
-/// The `--max-dispatch-wait-secs` throughput smoke gate: every profiled
-/// ≥ 2-shard run must have kept its cumulative pool dispatch wait (time
-/// shards sat queued behind busy workers), in excess of the queueing
-/// its shard count builds in on this host's pool, under the budget.
-/// Returns the violations as `(cell label, shards, waited secs, built-in
-/// secs)`.
-fn dispatch_wait_violations(
-    report: &fj_bench::fleetbench::Report,
-    budget: f64,
-) -> Vec<(String, usize, f64, f64)> {
-    let mut out = Vec::new();
-    for cfg in &report.sweep {
-        for run in &cfg.runs {
-            let Some((eff, wait)) = run
-                .efficiency
-                .as_ref()
-                .and_then(|e| Some((e, e.pool_dispatch_wait_secs?)))
-            else {
-                continue;
+/// The sweep, smallest cells first, so the running peak-RSS column
+/// reads each fleet size's own high-water mark as it grows.
+fn sweep_grid(smoke: bool) -> Vec<Config> {
+    let small = |days, chunk_rounds, shards| Config {
+        label: "small",
+        fleet: FleetConfig::small(EXPERIMENT_SEED),
+        days,
+        chunk_rounds,
+        shards,
+    };
+    let census = |label, routers, days, chunk_rounds, shards| Config {
+        label,
+        fleet: FleetConfig::census_of(EXPERIMENT_SEED, routers),
+        days,
+        chunk_rounds,
+        shards,
+    };
+    if smoke {
+        vec![
+            small(2, 0, &[1, 2]),
+            small(2, 96, &[2]),
+            // The pool-path cell on multi-core hosts: 1 000 routers in
+            // 8-hour chunks through 4 shards.
+            census("census", 1000, 1, 96, &[1, 2, 4]),
+        ]
+    } else {
+        vec![
+            small(28, 0, &[1, 2, 4, 8]),
+            census("census", 1000, 7, 288, &[1, 2, 4, 8]),
+            census("census10k", 10_000, 1, 96, &[1, 2, 4, 8]),
+        ]
+    }
+}
+
+/// The process's peak resident set so far (`VmHWM`), in MiB.
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kib: f64 = line["VmHWM:".len()..]
+        .trim()
+        .strip_suffix("kB")?
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kib / 1024.0)
+}
+
+/// One timed run: a fresh fleet and a private telemetry bundle, so
+/// repeated runs never share counter state. The profiler is always on —
+/// its per-chunk clock reads are noise next to the simulate/merge work
+/// it measures — and the live progress file lands beside the other
+/// telemetry artifacts for CI to upload.
+fn run_once(
+    cfg: &Config,
+    shards: usize,
+) -> Result<(FleetTrace, f64, Option<ParallelEfficiencyReport>), SimError> {
+    let mut fleet = build_fleet(&cfg.fleet);
+    let telemetry = Telemetry::with_capacity(1 << 10);
+    let stream = StreamConfig {
+        shards,
+        chunk_rounds: cfg.chunk_rounds,
+        profile: true,
+        progress_path: Some(fj_bench::telemetry_dir().join("progress-bench_fleet.json")),
+        ..StreamConfig::default()
+    };
+    let epoch = WallEpoch::now();
+    let outcome = collect_streaming(
+        &mut fleet,
+        SimInstant::EPOCH,
+        SimInstant::from_days(cfg.days as i64),
+        SimDuration::from_mins(5),
+        vec![],
+        &[],
+        &FaultPlan::clean(),
+        &telemetry,
+        &stream,
+    )?;
+    Ok((
+        outcome.trace,
+        epoch.elapsed().as_secs_f64(),
+        outcome.efficiency,
+    ))
+}
+
+/// Runs the sweep (or the `--smoke` subset), printing one row per run
+/// and asserting every run's trace equals its cell's first run.
+fn run_sweep(smoke: bool) -> Result<(), SimError> {
+    let t = TablePrinter::new(&[10, 9, 7, 7, 8, 10, 14, 9, 10, 7, 8]);
+    t.header(&[
+        "fleet",
+        "routers",
+        "days",
+        "chunk",
+        "shards",
+        "secs",
+        "rounds/sec",
+        "speedup",
+        "peak MiB",
+        "eff",
+        "merge%",
+    ]);
+    for cfg in &sweep_grid(smoke) {
+        let routers = cfg.fleet.router_count();
+        let mut first: Option<(FleetTrace, f64)> = None;
+        for &shards in cfg.shards {
+            let (trace, secs, efficiency) = run_once(cfg, shards)?;
+            let router_rounds = (trace.total_wall.len() * routers) as f64;
+            let speedup = match &first {
+                None => 1.0,
+                Some((seq, seq_secs)) => {
+                    assert_eq!(
+                        seq, &trace,
+                        "{}-shard trace diverged from the cell baseline ({} × {}d, chunk {})",
+                        shards, cfg.label, cfg.days, cfg.chunk_rounds
+                    );
+                    seq_secs / secs
+                }
             };
-            let built_in =
-                built_in_queueing_secs(run.shards, fj_par::clamp_shards(run.shards), eff);
-            if run.shards >= 2 && wait - built_in > budget {
-                let label = format!("{} × {}d chunk {}", cfg.fleet, cfg.days, cfg.chunk_rounds);
-                out.push((label, run.shards, wait, built_in));
+            t.row(&[
+                cfg.label.to_owned(),
+                format!("{routers}"),
+                format!("{}", cfg.days),
+                format!("{}", cfg.chunk_rounds),
+                format!("{shards}"),
+                fmt(secs, 3),
+                fmt(router_rounds / secs, 0),
+                format!("{speedup:.2}x"),
+                peak_rss_mib().map_or("-".to_owned(), |m| fmt(m, 1)),
+                efficiency
+                    .as_ref()
+                    .map_or("-".to_owned(), |e| format!("{:.2}", e.efficiency)),
+                efficiency.as_ref().map_or("-".to_owned(), |e| {
+                    format!("{:.1}", e.merge_fraction * 100.0)
+                }),
+            ]);
+            if first.is_none() {
+                first = Some((trace, secs));
             }
         }
     }
-    out
+    Ok(())
 }
 
 /// One instrumented 4-shard smoke collection with the causal tracer on,
@@ -179,69 +257,17 @@ fn main() -> ExitCode {
     println!("==============================================================");
     println!("bench_fleet — sharded collection throughput");
     println!(
-        "seed {EXPERIMENT_SEED}; {} cores available; traces asserted bit-identical",
+        "seed {EXPERIMENT_SEED}; {} cores available; traces asserted bit-identical; \
+         peak MiB is the process's running VmHWM",
         fj_par::available_shards()
     );
-    println!("generated by {}", version_string());
     println!("==============================================================");
 
-    let report = match run_sweep(args.smoke, true) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("bench_fleet: sweep failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
+    if let Err(e) = run_sweep(args.smoke) {
+        eprintln!("bench_fleet: sweep failed: {e}");
+        return ExitCode::FAILURE;
+    }
     println!("\nall parallel traces bit-identical to sequential — determinism holds");
-
-    if let Some(budget) = args.max_dispatch_wait_secs {
-        if fj_par::available_shards() <= 1 {
-            println!(
-                "dispatch-wait budget skipped: single-core host, the pool's one worker \
-                 queues ≥2-shard dispatches by construction"
-            );
-        } else {
-            let violations = dispatch_wait_violations(&report, budget);
-            if violations.is_empty() {
-                println!(
-                    "pool dispatch wait within the {budget:.3}s budget over built-in \
-                     queueing on every ≥2-shard run"
-                );
-            } else {
-                for (cell, shards, wait, built_in) in &violations {
-                    eprintln!(
-                        "bench_fleet: {cell} at {shards} shards spent {wait:.3}s in pool \
-                         dispatch wait, {built_in:.3}s of it queued by construction \
-                         (budget {budget:.3}s over that)"
-                    );
-                }
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    if args.json {
-        let path = args
-            .out
-            .unwrap_or_else(|| repo_root().join("BENCH_fleet.json"));
-        let body = serde_json::to_string_pretty(&report).expect("report serialises");
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                if let Err(e) = std::fs::create_dir_all(parent) {
-                    eprintln!("bench_fleet: creating {} failed: {e}", parent.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        match std::fs::write(&path, body + "\n") {
-            Ok(()) => println!("report: {}", path.display()),
-            Err(e) => {
-                eprintln!("bench_fleet: writing {} failed: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
 
     if let Some(trace_path) = &args.trace {
         if let Err(e) = write_trace(trace_path) {
@@ -252,26 +278,41 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn repo_root() -> PathBuf {
-    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn built_in_queueing_counts_shards_behind_each_worker() {
-        let eff = |shards: usize, busy_secs: f64| fj_isp::ParallelEfficiencyReport {
-            busy_secs,
-            ..fj_isp::ParallelEfficiencyReport::empty(shards)
-        };
-        // Fewer or as many shards as workers: nothing queues.
-        assert_eq!(built_in_queueing_secs(2, 2, &eff(2, 1.0)), 0.0);
-        assert_eq!(built_in_queueing_secs(2, 4, &eff(2, 1.0)), 0.0);
-        // 4 on 2: one shard waits behind one other on each worker.
-        assert_eq!(built_in_queueing_secs(4, 2, &eff(4, 2.0)), 2.0 * 0.5);
-        // 5 on 2: shards 0/2/4 share a worker (3 waits), 1/3 the other.
-        assert_eq!(built_in_queueing_secs(5, 2, &eff(5, 5.0)), 4.0 * 1.0);
+    fn grids_run_smallest_first_and_cover_the_census_scales() {
+        for smoke in [true, false] {
+            let sizes: Vec<usize> = sweep_grid(smoke)
+                .iter()
+                .map(|c| c.fleet.router_count())
+                .collect();
+            assert!(sizes.windows(2).all(|w| w[0] <= w[1]), "{sizes:?}");
+        }
+        let full: Vec<usize> = sweep_grid(false)
+            .iter()
+            .map(|c| c.fleet.router_count())
+            .collect();
+        assert!(full.contains(&1000), "1k census cell");
+        assert!(full.contains(&10_000), "10k census cell");
+        // The smoke census cell is chunked and reaches 4 shards.
+        let smoke = sweep_grid(true);
+        let census = smoke.iter().find(|c| c.label == "census").expect("cell");
+        assert_eq!(census.fleet.router_count(), 1000);
+        assert_eq!(census.chunk_rounds, 96);
+        assert_eq!(census.shards, [1, 2, 4]);
+    }
+
+    #[test]
+    fn smoke_sweep_runs_with_identical_traces() {
+        run_sweep(true).expect("smoke sweep runs");
+    }
+
+    #[test]
+    fn peak_rss_reads_the_process_high_water_mark() {
+        let mib = peak_rss_mib().expect("VmHWM readable");
+        assert!(mib > 0.0);
     }
 }

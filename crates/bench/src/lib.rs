@@ -13,7 +13,6 @@
 //! cargo run --release -p fj-bench --bin exp -- all
 //! ```
 
-pub mod fleetbench;
 pub mod paper;
 pub mod table;
 

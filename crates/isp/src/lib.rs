@@ -45,7 +45,6 @@ pub use profile::ParallelEfficiencyReport;
 pub use publish::publish_fleet;
 pub use stats::{FleetInsights, InterfaceShare};
 pub use trace::{
-    collect_streaming, estimated_peak_record_bytes, ChaosPanic, FleetTrace, RouterTrace,
-    StreamConfig, StreamOutcome,
+    collect_streaming, ChaosPanic, FleetTrace, RouterTrace, StreamConfig, StreamOutcome,
 };
 pub use validate::SourceComparison;

@@ -9,11 +9,10 @@
 //! reading in microseconds taken by the engine, so the whole fold is
 //! testable with synthetic samples. Everything here is wall-clock-derived
 //! and therefore lives **off** the FJ01 deterministic surface: reports
-//! ride in `StreamOutcome` / `BENCH_fleet.json` side channels and the
-//! profiler-only registry series, never in traces, events, or the
-//! deterministic metric registry (see DESIGN.md "Runtime profiling &
-//! live progress" for the exclusion rationale, and
-//! `tests/profiler_fj01.rs` for the enforcement).
+//! ride in `StreamOutcome` and the profiler-only registry series, never
+//! in traces, events, or the deterministic metric registry (see
+//! DESIGN.md "Runtime profiling & live progress" for the exclusion
+//! rationale, and `tests/profiler_fj01.rs` for the enforcement).
 //!
 //! The accounting identity the report leans on, pinned down by the
 //! `fj-par` pool proptests: for every worker of a profiled dispatch,

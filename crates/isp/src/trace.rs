@@ -41,7 +41,7 @@
 //!
 //! Workers hold only one chunk of records at a time, so peak record
 //! memory is `O(routers × chunk_rounds)` instead of
-//! `O(routers × horizon)` ([`estimated_peak_record_bytes`]).
+//! `O(routers × horizon)`.
 //!
 //! # Checkpoints and crash recovery
 //!
@@ -221,19 +221,6 @@ const SPAN_NAMES: &[&str] = &[
     "router_step",
     "router",
 ];
-
-/// Estimated peak resident bytes of columnar round records during a
-/// streaming collection: `routers × rounds_in_flight ×
-/// sizeof(RoundRecord)`. For the chunked engine `rounds_in_flight` is
-/// the chunk size; for a whole-horizon run it is the total round count.
-/// (Bench reports use this to show the O(routers × chunk) memory bound.)
-pub fn estimated_peak_record_bytes(routers: usize, rounds_in_flight: u64) -> u64 {
-    let per_round = u64::try_from(std::mem::size_of::<RoundRecord>()).unwrap_or(u64::MAX);
-    u64::try_from(routers)
-        .unwrap_or(u64::MAX)
-        .saturating_mul(rounds_in_flight)
-        .saturating_mul(per_round)
-}
 
 /// Deterministic chaos hook: panics one worker at an exact
 /// `(round, router)` cell, a bounded number of times. Used by the
@@ -1262,10 +1249,6 @@ pub fn collect_streaming(
                 wall_secs,
                 rounds_per_sec: rate,
                 eta_secs,
-                est_peak_record_bytes: estimated_peak_record_bytes(
-                    router_count,
-                    chunk_rounds.min(rounds_total.max(1)),
-                ),
                 checkpoints_written,
                 checkpoints_rejected: u64::from(checkpoints_rejected),
                 recoveries: u64::from(restarts),
@@ -1903,16 +1886,5 @@ mod tests {
         assert_eq!(outcome.rounds_done, 100);
         assert_eq!(outcome.rounds_total, 287);
         assert_eq!(outcome.trace.total_wall.len(), 100);
-    }
-
-    #[test]
-    fn peak_record_bytes_scales_with_chunk_not_horizon() {
-        let chunked = estimated_peak_record_bytes(1000, 288);
-        let whole = estimated_peak_record_bytes(1000, 80_000);
-        assert!(chunked < whole / 100);
-        assert_eq!(
-            chunked,
-            1000 * 288 * u64::try_from(std::mem::size_of::<RoundRecord>()).unwrap()
-        );
     }
 }

@@ -466,7 +466,6 @@ mod tests {
             wall_secs: 1.0,
             rounds_per_sec: 192.0,
             eta_secs: 4.0,
-            est_peak_record_bytes: 4096,
             checkpoints_written: 2,
             checkpoints_rejected: 0,
             recoveries: 1,

@@ -53,8 +53,6 @@ pub struct RunProgress {
     pub rounds_per_sec: f64,
     /// Remaining rounds / `rounds_per_sec` (0 when the rate is 0).
     pub eta_secs: f64,
-    /// Estimated peak resident bytes for in-flight round records.
-    pub est_peak_record_bytes: u64,
     /// Checkpoints written by this process.
     pub checkpoints_written: u64,
     /// Checkpoint candidates rejected during resume.
@@ -118,7 +116,7 @@ pub(crate) fn to_prometheus_text(latest: Option<&RunProgress>) -> String {
         return String::new();
     };
     let mut out = String::new();
-    let gauges: [(&str, f64); 12] = [
+    let gauges: [(&str, f64); 11] = [
         ("fj_progress_chunk", p.chunk as f64),
         ("fj_progress_rounds_done", p.rounds_done as f64),
         ("fj_progress_rounds_total", p.rounds_total as f64),
@@ -126,10 +124,6 @@ pub(crate) fn to_prometheus_text(latest: Option<&RunProgress>) -> String {
         ("fj_progress_rounds_per_sec", p.rounds_per_sec),
         ("fj_progress_eta_seconds", p.eta_secs),
         ("fj_progress_wall_seconds", p.wall_secs),
-        (
-            "fj_progress_est_peak_record_bytes",
-            p.est_peak_record_bytes as f64,
-        ),
         (
             "fj_progress_checkpoints_written",
             p.checkpoints_written as f64,
@@ -170,7 +164,6 @@ mod tests {
             wall_secs: 0.5,
             rounds_per_sec: 192.0,
             eta_secs: 2.0,
-            est_peak_record_bytes: 4096,
             checkpoints_written: chunk,
             checkpoints_rejected: 0,
             recoveries: 0,
@@ -215,7 +208,6 @@ mod tests {
             "fj_progress_rounds_per_sec",
             "fj_progress_eta_seconds",
             "fj_progress_wall_seconds",
-            "fj_progress_est_peak_record_bytes",
             "fj_progress_checkpoints_written",
             "fj_progress_checkpoints_rejected",
             "fj_progress_recoveries",
