@@ -55,8 +55,9 @@ echo "==> perf gate (repository benchmark medians vs committed BENCH_perf.json)"
 # runs also replay the engine layer by layer and fail unless the replay
 # equals the engine's trace bit for bit. perf_gate then holds the medians
 # of the five timed seeds to BENCHMARK.json's bounds, and the traced
-# switch_ops dispatch wait and parallel efficiency and census merge cost
-# to their own, against the committed BENCH_perf.json. To re-baseline
+# switch_ops dispatch wait and parallel efficiency, census merge cost and
+# link_sleeping Hypnos decision to their own, against the committed
+# BENCH_perf.json. To re-baseline
 # after an intended change, copy target/perf/BENCH_perf.json to the root.
 rm -rf target/perf && mkdir -p target/perf
 perfbench=(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml --)
@@ -65,6 +66,7 @@ for seed in 1 2 3 4 5; do
 done
 "${perfbench[@]}" --workload census --trace 1 | tee target/perf/census-trace.out
 "${perfbench[@]}" --workload switch_ops --trace 1 | tee target/perf/switch_ops-trace.out
+"${perfbench[@]}" --workload link_sleeping --trace 1 | tee target/perf/link_sleeping-trace.out
 cargo run -q --release -p fj-bench --bin perf_gate -- target/perf/*.out
 
 if [[ "${CI_SOAK:-0}" == "1" ]]; then

@@ -9,10 +9,10 @@
 //! line. Each `provenance:` line opens a run and the next `{"correct": …}`
 //! result line closes it; a run that never closes (its process died)
 //! counts as a failed capture. Timed runs (`--trace 0`) reduce to
-//! per-workload, per-metric medians over their seeds; the traced census
-//! and switch_ops runs (`--trace 1`) are the layer ledger. The fresh
-//! summary is written to `target/perf/BENCH_perf.json`, then compared
-//! with the committed repository-root `BENCH_perf.json`:
+//! per-workload, per-metric medians over their seeds; the traced census,
+//! switch_ops and link_sleeping runs (`--trace 1`) are the layer ledger.
+//! The fresh summary is written to `target/perf/BENCH_perf.json`, then
+//! compared with the committed repository-root `BENCH_perf.json`:
 //!
 //! * every workload × `end_to_end` metric of `BENCHMARK.json` may worsen
 //!   by at most the bound listed there, in the direction listed there.
@@ -27,7 +27,9 @@
 //!   baseline, under the 0.25 s budget;
 //! * switch_ops `par.efficiency` ≥ 0.5 × baseline. A missing profiler
 //!   reads 0 and fails here;
-//! * census `isp.merge_ns_per_rr` ≤ 2 × baseline.
+//! * census `isp.merge_ns_per_rr` ≤ 2 × baseline;
+//! * link_sleeping `hypnos.decide_p50_ms` ≤ 2 × baseline: one Hypnos
+//!   decision, the layer that sets link_sleeping's throughput.
 //!
 //! The two parallel bounds skip, with a printed note, when the switch_ops
 //! provenance reports one CPU: the pool's one worker then runs both
@@ -52,7 +54,7 @@ use fj_bench::table::TablePrinter;
 use serde::{Deserialize, Serialize};
 
 /// Workloads whose traced run feeds the layer bounds.
-const TRACED: [&str; 2] = ["census", "switch_ops"];
+const TRACED: [&str; 3] = ["census", "switch_ops", "link_sleeping"];
 
 /// The part of `BENCHMARK.json` the gate reads.
 #[derive(Debug, Deserialize)]
@@ -229,8 +231,8 @@ fn reduce(runs: &[&Run]) -> BTreeMap<String, Stat> {
 }
 
 /// The fresh summary of `runs`, or why the captures cannot make one:
-/// a workload with no timed run, census or switch_ops with no traced run,
-/// or timed runs at more than one `--seconds`.
+/// a workload with no timed run, a [`TRACED`] workload with no traced
+/// run, or timed runs at more than one `--seconds`.
 fn summarize(runs: &[Run], workloads: &[String]) -> Result<Summary, String> {
     let of = |w: &str, trace: bool| -> Vec<&Run> {
         runs.iter()
@@ -396,6 +398,13 @@ fn checks(spec: &Spec, base: &Summary, fresh: &Summary) -> Result<Vec<Check>, St
     out.push(layer(
         "census",
         "isp.merge_ns_per_rr",
+        false,
+        &|b| 2.0 * b,
+        None,
+    ));
+    out.push(layer(
+        "link_sleeping",
+        "hypnos.decide_p50_ms",
         false,
         &|b| 2.0 * b,
         None,
@@ -604,7 +613,7 @@ mod tests {
     }
 
     /// Three timed seeds per workload reading `ops` and `cpu`, and the
-    /// two traced runs.
+    /// three traced runs.
     fn captures(ops: f64, cpu: f64) -> Vec<Run> {
         let mut text = String::new();
         for w in ["census", "switch_ops"] {
@@ -622,6 +631,12 @@ mod tests {
                 ],
             );
         }
+        text += &capture(
+            "link_sleeping",
+            true,
+            (true, 0),
+            &[("hypnos.decide_p50_ms", 0.7)],
+        );
         parse_capture(&text).expect("captures parse")
     }
 
@@ -650,7 +665,7 @@ mod tests {
     #[test]
     fn captures_parse_into_runs() {
         let runs = captures(1000.0, 4.0);
-        assert_eq!(runs.len(), 8);
+        assert_eq!(runs.len(), 9);
         assert_eq!(runs[0].workload, "census");
         assert!(!runs[0].trace && runs[3].trace);
         assert_eq!(runs[0].seconds, 5.0);
@@ -799,6 +814,28 @@ mod tests {
     }
 
     #[test]
+    fn decide_bound_catches_a_doubled_decision_and_a_missing_traced_run() {
+        let base = summary(&captures(1000.0, 4.0));
+        let slower = |ms: f64| {
+            let mut runs = captures(1000.0, 4.0);
+            for r in runs.iter_mut().filter(|r| r.workload == "link_sleeping") {
+                r.metrics.insert("hypnos.decide_p50_ms".to_owned(), ms);
+            }
+            checks(&spec(), &base, &summary(&runs)).expect("same seconds")
+        };
+        let m = ("link_sleeping", "hypnos.decide_p50_ms");
+        assert_eq!(verdict(&slower(1.4), m.0, m.1), Verdict::Ok);
+        assert_eq!(verdict(&slower(1.41), m.0, m.1), Verdict::Fail);
+        // Without its traced run the captures cannot be summarized.
+        let runs: Vec<Run> = captures(1000.0, 4.0)
+            .into_iter()
+            .filter(|r| r.workload != "link_sleeping")
+            .collect();
+        let workloads = ["census".to_owned(), "switch_ops".to_owned()];
+        assert!(summarize(&runs, &workloads).is_err());
+    }
+
+    #[test]
     fn a_baseline_spread_wider_than_the_bound_is_unresolved() {
         let mut base = summary(&captures(1000.0, 4.0));
         let noisy = Stat::of(vec![600.0, 1000.0, 1400.0]);
@@ -827,7 +864,7 @@ mod tests {
             }
         }
         let c = checks(&spec, &base, &base).expect("same seconds");
-        assert_eq!(c.len(), spec.workloads.len() * spec.end_to_end.len() + 3);
+        assert_eq!(c.len(), spec.workloads.len() * spec.end_to_end.len() + 4);
         assert!(c.iter().all(|c| c.verdict != Verdict::Fail), "{c:?}");
     }
 }

@@ -1,29 +1,40 @@
 //! Property-based tests: Hypnos must never partition a topology and its
-//! pricing must bracket correctly, for arbitrary random networks.
+//! pricing must bracket correctly, for arbitrary random networks; and the
+//! library's `decide` must sleep exactly what the reference path sleeps.
 
-use fj_hypnos::{algorithm, graph::Topology, sleeping_savings, HypnosConfig};
+mod oracle;
+
+use fj_hypnos::{algorithm, sleeping_savings, HypnosConfig};
+use oracle::Topology;
 use proptest::prelude::*;
 
-/// Random multigraph edges over up to `n` nodes.
-fn arb_edges(n: usize, max_edges: usize) -> impl Strategy<Value = Vec<(usize, usize)>> {
-    prop::collection::vec((0..n, 0..n), 1..max_edges)
-        .prop_map(|pairs| {
-            pairs
+/// Random multigraph edges `(link id, a, b)` over up to `n` nodes:
+/// self-loops and parallel links included. In about half the cases the
+/// ids are the edge positions; in the rest they are drawn with repeats,
+/// so one id may name several edges.
+fn arb_edges(n: usize, max_edges: usize) -> impl Strategy<Value = Vec<(usize, usize, usize)>> {
+    (
+        prop::collection::vec((0..max_edges, 0..n, 0..n), 1..max_edges),
+        any::<bool>(),
+    )
+        .prop_map(|(edges, repeat_ids)| {
+            edges
                 .into_iter()
-                .filter(|(a, b)| a != b)
-                .collect::<Vec<_>>()
+                .enumerate()
+                .map(|(i, (id, a, b))| (if repeat_ids { id } else { i }, a, b))
+                .collect()
         })
-        .prop_filter("need at least one edge", |v| !v.is_empty())
 }
 
+/// One observation per edge. Traffic is per link id, so every edge of
+/// one id carries the same utilisation.
 fn observations_from_edges(
-    edges: &[(usize, usize)],
+    edges: &[(usize, usize, usize)],
     traffic_gbps: &[f64],
 ) -> Vec<algorithm::LinkObservation> {
     edges
         .iter()
-        .enumerate()
-        .map(|(id, &(a, b))| {
+        .map(|&(id, a, b)| {
             let t = traffic_gbps.get(id).copied().unwrap_or(0.0);
             algorithm::observation(id, (a, b), 100.0, t)
         })
@@ -101,5 +112,35 @@ proptest! {
             ..HypnosConfig::default()
         });
         prop_assert!(strict.slept.len() <= loose.slept.len());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The library path and the reference path sleep the same links in
+    /// the same order, whatever the graph, the capacities or the config:
+    /// forests, isolated islands, parallel links, self-loops and ids that
+    /// name several edges.
+    #[test]
+    fn decide_matches_the_oracle(
+        edges in arb_edges(12, 40),
+        links in prop::collection::vec(
+            (prop::sample::select(vec![10.0, 40.0, 100.0, 400.0]), 0.0f64..0.5),
+            40,
+        ),
+        headroom in prop::sample::select(vec![0.0, 1.0, 2.0, 4.0]),
+        max_sleep_utilization in prop::sample::select(vec![0.05, 0.2, 0.5]),
+    ) {
+        let obs: Vec<_> = edges
+            .iter()
+            .map(|&(id, a, b)| {
+                let (capacity, utilization) = links[id];
+                algorithm::observation(id, (a, b), capacity, capacity * utilization)
+            })
+            .collect();
+        let config = HypnosConfig { headroom, max_sleep_utilization };
+        let outcome = algorithm::decide(&obs, &config);
+        prop_assert_eq!(outcome.slept, oracle::decide(&obs, &config));
     }
 }

@@ -140,7 +140,12 @@ impl Fleet {
 
     /// [`Fleet::advance`] with an explicit shard count (1 = inline on the
     /// calling thread). Results are bit-identical whatever `shards` is.
+    /// A negative `dt` is [`SimError::NegativeDuration`], and no router
+    /// moves.
     pub fn advance_with_shards(&mut self, dt: SimDuration, shards: usize) -> Result<(), SimError> {
+        if dt.as_secs() < 0 {
+            return Err(SimError::NegativeDuration(dt));
+        }
         let now = self.now();
         let packets = self.packets.clone();
         let done = fj_par::WorkerPool::for_shards(shards)
@@ -234,5 +239,23 @@ mod tests {
         assert_send_sync::<PlannedInterface>();
         assert_send_sync::<FleetRouter>();
         assert_send_sync::<Fleet>();
+    }
+
+    /// A backwards step is a typed error on every shard count, before
+    /// any router is dispatched, and the fleet keeps its clock.
+    #[test]
+    fn negative_step_is_an_error_not_a_worker_panic() {
+        let mut fleet = crate::build_fleet(&crate::FleetConfig::small(1));
+        fleet.advance(SimDuration::from_mins(5)).unwrap();
+        let (now, routers) = (fleet.now(), fleet.routers.len());
+        let back = SimDuration::from_secs(-1);
+        for shards in [1, 2, 4] {
+            let err = fleet.advance_with_shards(back, shards).unwrap_err();
+            assert_eq!(err, SimError::NegativeDuration(back));
+            assert_eq!((fleet.now(), fleet.routers.len()), (now, routers));
+        }
+        assert!(fleet.advance(back).is_err());
+        fleet.advance_with_shards(SimDuration::ZERO, 2).unwrap();
+        assert_eq!(fleet.now(), now);
     }
 }

@@ -32,6 +32,8 @@ pub enum SimError {
     /// A fleet collection request the engine cannot run: a non-positive
     /// poll period, or an event aimed at a router outside the fleet.
     InvalidCollection(String),
+    /// A time step that runs the clock backwards.
+    NegativeDuration(fj_units::SimDuration),
 }
 
 impl fmt::Display for SimError {
@@ -59,6 +61,9 @@ impl fmt::Display for SimError {
             SimError::SlotOccupied(s) => write!(f, "linecard slot {s} is occupied"),
             SimError::SlotEmpty(s) => write!(f, "linecard slot {s} is empty"),
             SimError::InvalidCollection(why) => write!(f, "invalid fleet collection: {why}"),
+            SimError::NegativeDuration(dt) => {
+                write!(f, "time cannot run backwards: step of {dt}")
+            }
         }
     }
 }
